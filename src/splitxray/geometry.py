@@ -18,8 +18,11 @@ import numpy as np
 # Default tolerance for projective equality / incidence residuals.
 PROJECTIVE_TOL = 1e-10
 # A frame is rejected as degenerate when the smaller singular value of its
-# 2x4 matrix falls below this multiple of the larger one.
+# 2x4 matrix falls below this multiple of the larger one, or when the
+# product of the two, the norm of its Pluecker vector, is below the smallest
+# normal float: its 2x2 minors would underflow.
 DEGENERACY_RTOL = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 def _readonly(a):
@@ -101,7 +104,7 @@ class Frame:
         if u.shape != (4,) or v.shape != (4,):
             raise ValueError("frame vectors must be real 4-vectors")
         s = np.linalg.svd(np.vstack([u, v]), compute_uv=False)
-        if s[1] <= DEGENERACY_RTOL * s[0]:
+        if s[1] <= DEGENERACY_RTOL * s[0] or s[0] * s[1] < _TINY:
             raise ValueError(
                 f"degenerate frame: singular values {s[0]:.3e}, {s[1]:.3e}")
         self.u = _readonly(u)
@@ -165,12 +168,17 @@ class PlueckerPoint:
                          self.p23, self.p24, self.p34])
 
     def quadric_residual(self):
-        """p12*p34 - p13*p24 + p14*p23, relative to the coordinate scale."""
-        q = self.p12 * self.p34 - self.p13 * self.p24 + self.p14 * self.p23
-        scale = float(np.max(np.abs(self.as_array())))
+        """p12*p34 - p13*p24 + p14*p23, relative to the coordinate scale.
+
+        The coordinates are scaled to a largest magnitude of 1 before the
+        products, so tiny coordinates do not underflow to a 0 / 0.
+        """
+        p = self.as_array()
+        scale = float(np.max(np.abs(p)))
         if scale == 0.0:
             raise ValueError("all Pluecker coordinates vanish")
-        return abs(q) / scale ** 2
+        p12, p13, p14, p23, p24, p34 = p / scale
+        return abs(p12 * p34 - p13 * p24 + p14 * p23)
 
 
 def plucker_embed(f: Frame) -> PlueckerPoint:

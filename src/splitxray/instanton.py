@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .operators import FDSpec
+from .operators import FDSpec, worst_residual
 from .poly import Poly4
 
 METRIC_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
@@ -94,11 +94,8 @@ class Connection:
 
     def antihermitian_residual(self, x):
         """Max over i of ||A_i + A_i^*|| at x; zero for u(n) data."""
-        worst = 0.0
-        for i in range(4):
-            a = self.coefficient(i, x)
-            worst = max(worst, float(np.linalg.norm(a + a.conj().T)))
-        return worst
+        coeffs = [self.coefficient(i, x) for i in range(4)]
+        return worst_residual(np.linalg.norm(a + a.conj().T) for a in coeffs)
 
 
 class Curvature:
@@ -179,11 +176,8 @@ def hodge_star(F: Curvature) -> Curvature:
 
 def selfdual_residual(A: Connection, points, fd: FDSpec = FDSpec()):
     """Max over points of ||*F - F||; zero identifies a split instanton."""
-    worst = 0.0
-    for x in points:
-        F = curvature(A, x, fd)
-        worst = max(worst, (hodge_star(F) - F).norm())
-    return worst
+    curvatures = (curvature(A, x, fd) for x in points)
+    return worst_residual((hodge_star(F) - F).norm() for F in curvatures)
 
 
 def bianchi_residual(A: Connection, x, fd: FDSpec = FDSpec()):
@@ -202,14 +196,14 @@ def bianchi_residual(A: Connection, x, fd: FDSpec = FDSpec()):
 
     Fx = curvature(A, x, fd)
     coeffs = [A.coefficient(i, x) for i in range(4)]
-    worst = 0.0
+    totals = []
     for (i, j, k) in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         total = np.zeros((A.n, A.n), dtype=complex)
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             F_bc = Fx.component(b, c)
             total = total + dF(a, b, c) + coeffs[a] @ F_bc - F_bc @ coeffs[a]
-        worst = max(worst, float(np.linalg.norm(total)))
-    return worst
+        totals.append(np.linalg.norm(total))
+    return worst_residual(totals)
 
 
 class GaugeMap:

@@ -18,6 +18,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
+
+def worst_residual(values):
+    """Largest of the residuals, 0.0 for none, and NaN if any is NaN.
+
+    Every check reduces its residuals with this.  Python's max() keeps its
+    running value when compared with a NaN, so a NaN after the first value
+    would vanish and the check would pass.
+    """
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
+
+
 _E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 _E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -58,11 +69,9 @@ def partials_residual(field: ChartField, X, fd: FDSpec = FDSpec()):
         raise ValueError("field declares no analytic partials")
     X = np.asarray(X, dtype=float)
     analytic = np.asarray(field.partials(X))
-    worst = 0.0
-    for a, e in zip(analytic.ravel(), (_E11, _E12, _E21, _E22)):
-        fdval = _first_diff(field, X, e, fd)
-        worst = max(worst, abs(a - fdval))
-    return worst
+    units = (_E11, _E12, _E21, _E22)
+    return worst_residual(abs(a - _first_diff(field, X, e, fd))
+                          for a, e in zip(analytic.ravel(), units))
 
 
 def _eval(phi, X):
@@ -209,10 +218,7 @@ def dn_residual(m, X, fd: FDSpec = FDSpec()):
     X = np.asarray(X, dtype=float)
     row1 = (_E11, _E12)
     row2 = (_E21, _E22)
-    worst = 0.0
-    for k in range(m.n):
-        for j in range(2):
-            a = _first_diff(m.components[k], X, row2[j], fd)
-            b = _first_diff(m.components[k + 1], X, row1[j], fd)
-            worst = max(worst, abs(a - b))
-    return worst
+    return worst_residual(
+        abs(_first_diff(m.components[k], X, row2[j], fd)
+            - _first_diff(m.components[k + 1], X, row1[j], fd))
+        for k in range(m.n) for j in range(2))

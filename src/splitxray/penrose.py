@@ -19,7 +19,9 @@ from .operators import ChartField
 from .xray import QuadratureSpec, circle_integral, circle_points
 
 DEFAULT_POLE_MARGIN = 1e-3
-_SAFETY_GRID = 1024
+# The pole scan samples the 1024 uniform angles of this rule; their cos and
+# sin are computed once, here.
+_SAFETY_GRID = QuadratureSpec(1024)
 
 
 class PoleProximityError(ValueError):
@@ -90,11 +92,9 @@ class PoleSafetyReport:
 
 def pole_safety(f: TwistorRationalFunction, frame: Frame,
                 margin=DEFAULT_POLE_MARGIN) -> PoleSafetyReport:
-    theta = np.arange(_SAFETY_GRID) * (2.0 * np.pi / _SAFETY_GRID)
-    c, s = np.cos(theta), np.sin(theta)
     minima = []
     for a, _ in f.factors:
-        w = (frame.u @ a) * c + (frame.v @ a) * s
+        w = (frame.u @ a) * _SAFETY_GRID.cos + (frame.v @ a) * _SAFETY_GRID.sin
         minima.append(float(np.min(np.abs(w))))
     return PoleSafetyReport(tuple(minima), margin)
 

@@ -5,9 +5,16 @@ Fractions, floats or complex numbers.  Exact coefficient types survive
 differentiation, so Laplacian identities can be checked with no floating
 point slack; evaluation converts to float/complex arrays once and caches
 them.
+
+Evaluation builds a power table x_i^p for p up to the largest exponent by
+repeated multiplication, then forms each monomial from four table lookups;
+no pow is called.  Against a correctly rounded sum the error is a few ulp
+per term times the term's size.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +27,12 @@ def exponents_of_degree(k):
             for e3 in range(k - e1 - e2, -1, -1):
                 out.append((e1, e2, e3, k - e1 - e2 - e3))
     return out
+
+
+@lru_cache(maxsize=None)
+def _power_dtype(dtype):
+    """dtype of x ** E for points x of this dtype and int exponents E."""
+    return np.result_type(dtype, np.intp)
 
 
 class Poly4:
@@ -71,6 +84,9 @@ class Poly4:
         return len(degs) <= 1
 
     def _arrays(self):
+        """(rows, top, C).  Row p * 4 + i of the power table holds x_i^p
+        for p <= top; rows[j] picks the four factors of term j, whose
+        coefficient is C[j]."""
         if self._cache is None:
             if not self.coeffs:
                 E = np.zeros((1, 4), dtype=int)
@@ -82,15 +98,28 @@ class Poly4:
                     C = np.array([complex(v) for v in vals])
                 else:
                     C = np.array([float(v) for v in vals])
-            self._cache = (E, C)
+            self._cache = (E * 4 + np.arange(4), int(E.max()), C)
         return self._cache
 
     def __call__(self, x):
-        """Evaluate at x of shape (..., 4); vectorized."""
+        """Evaluate at x of shape (..., 4); vectorized.
+
+        The powers have the dtype x ** E would give: int, float or
+        complex for int, float or complex x.
+        """
         x = np.asarray(x)
-        E, C = self._arrays()
-        mono = np.prod(x[..., None, :] ** E, axis=-1)
-        return mono @ C
+        if x.shape[-1:] != (4,):
+            raise ValueError("points must have a trailing axis of length 4")
+        rows, top, C = self._arrays()
+        n = x.size // 4
+        table = np.empty((top + 1, 4, n), dtype=_power_dtype(x.dtype))
+        table[0] = 1
+        if top:
+            table[1] = x.reshape(n, 4).T
+        for p in range(2, top + 1):
+            np.multiply(table[p - 1], table[1], out=table[p])
+        mono = np.multiply.reduce(table.reshape(-1, n)[rows], axis=1)
+        return C.dot(mono).reshape(x.shape[:-1])[()]
 
     def partial(self, i):
         """d/dx_i as a new Poly4."""

@@ -7,6 +7,10 @@ nodes make the quadrature spectrally accurate for the analytic integrands
 in scope.  No 1/(2pi) normalization is applied anywhere, so the flagship
 closed form is exactly 2*pi/sqrt(det Gram).
 
+A QuadratureSpec computes the cos and sin of its nodes once, when it is
+built; a transform then costs the circle points (two scaled columns and a
+sum), one evaluation of the integrand on them and one sum.
+
 As a function of the frame the transform is a weight -1 field
 (|det g|**-1 under right GL(2) moves), and its chart restriction is
 annihilated by the John operator.
@@ -14,36 +18,49 @@ annihilated by the John operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .fields import HomogeneousFunction, WeightedField
 from .geometry import Frame, plane_from_chart
-from .operators import ChartField
+from .operators import ChartField, worst_residual
 
 DEFAULT_NODES = 64
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Uniform periodic trapezoid rule on [0, 2pi) with n_nodes >= 4."""
+    """Uniform periodic trapezoid rule on [0, 2pi) with n_nodes >= 4.
+
+    The node columns cos and sin are computed once, at construction, and
+    are read-only; every transform on this spec reuses them.
+    """
 
     n_nodes: int = DEFAULT_NODES
+    cos: np.ndarray = field(init=False, repr=False, compare=False)
+    sin: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 4:
             raise ValueError("quadrature needs at least 4 nodes")
+        theta = self.angles()
+        for name, column in (("cos", np.cos(theta)), ("sin", np.sin(theta))):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def angles(self):
         return np.arange(self.n_nodes) * (2.0 * np.pi / self.n_nodes)
 
 
 def circle_points(frame: Frame, q: QuadratureSpec):
-    """Quadrature points u cos(theta_j) + v sin(theta_j), shape (n_nodes, 4)."""
-    theta = q.angles()
-    return np.outer(np.cos(theta), frame.u) + np.outer(np.sin(theta), frame.v)
+    """Quadrature points u cos(theta_j) + v sin(theta_j), shape (n_nodes, 4).
+
+    The same elementwise products and sum as np.outer(cos, u) +
+    np.outer(sin, v), so the points equal that formula's bit for bit.
+    """
+    return q.cos[:, None] * frame.u + q.sin[:, None] * frame.v
 
 
 def circle_integral(values, q: QuadratureSpec):
@@ -106,8 +123,7 @@ def xray_moments(f: HomogeneousFunction, frame: Frame, n,
     minus = f(-_PARITY_PROBE)
     if abs(minus - (-1.0) ** n * plus) > 1e-9 * (1.0 + abs(plus)):
         raise ValueError(f"input does not have parity (-1)^{n} under x -> -x")
-    theta = q.angles()
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = q.cos, q.sin
     vals = f(circle_points(frame, q))
     return np.array([circle_integral(vals * c ** (n - k) * s ** k, q)
                      for k in range(n + 1)])
@@ -140,12 +156,10 @@ def equivariance_residual(f: HomogeneousFunction, g, frames,
     if g.shape != (4, 4) or np.linalg.det(g) == 0.0:
         raise ValueError("g must be an invertible 4x4 matrix")
     fg = f.compose_linear(g)
-    worst = 0.0
-    for frame in frames:
-        lhs = xray_transform(fg, frame, q)
-        rhs = xray_transform(f, frame.ambient_transform(g), q)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return worst_residual(
+        abs(xray_transform(fg, frame, q)
+            - xray_transform(f, frame.ambient_transform(g), q))
+        for frame in frames)
 
 
 def random_gl2(rng, smin=0.5, smax=2.0):

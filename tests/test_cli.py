@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from splitxray import operators, xray
 from splitxray.cli import ConfigError, main, run
 from splitxray.defaults import DEFAULTS, TOLERANCES
 
@@ -120,3 +122,35 @@ def test_defaults_table_is_consistent():
     assert DEFAULTS["tolerances"] == TOLERANCES
     assert DEFAULTS["nodes"] == 64 and DEFAULTS["nodes_john"] == 128
     assert DEFAULTS["fd_step"] == 1e-3 and DEFAULTS["richardson"] is True
+
+
+def test_nan_residual_after_the_first_fails_its_check(monkeypatch):
+    # all three are far below the moments tolerance of 1e-6
+    residuals = iter([1e-9, float("nan"), 2e-9])
+    monkeypatch.setattr(operators, "dn_residual",
+                        lambda *args: next(residuals, 0.0))
+    report = run({"command": "verify-moments"})
+    n1 = report.checks[0]
+    assert n1.name == "moments:n1"
+    assert math.isnan(n1.value) and not n1.passed
+    assert report.checks[1].passed and not report.overall
+
+
+@pytest.mark.parametrize("command, nodes, ran", [
+    ("verify-weight-law", 32, 128),
+    ("verify-weight-law", 200, 200),
+    ("reconstruct", 32, 128),
+    ("injectivity", 32, 128),
+    ("verify-equivariance", 32, 32),
+])
+def test_environment_records_the_nodes_that_ran(monkeypatch, command, nodes,
+                                                ran):
+    built = []
+    spec = xray.QuadratureSpec
+    monkeypatch.setattr(xray, "QuadratureSpec",
+                        lambda n: built.append(n) or spec(n))
+    report = run({"command": command, "nodes": nodes, "max_degree": 2,
+                  "n_frames": 12})
+    assert set(built) == {ran}
+    assert report.environment["nodes"] == nodes
+    assert report.environment["nodes_effective"] == ran

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from splitxray.geometry import (ComplexProjectivePoint, FlagPoint, Frame,
-                                GPoint, RealProjectivePoint, chart_from_plane,
-                                incidence, mu_inverse, mu_restrict, pi_project,
-                                plane_from_chart, plucker_embed)
+from splitxray.geometry import (DEGENERACY_RTOL, ComplexProjectivePoint,
+                                FlagPoint, Frame, GPoint, RealProjectivePoint,
+                                chart_from_plane, incidence, mu_inverse,
+                                mu_restrict, pi_project, plane_from_chart,
+                                plucker_embed)
 
 E = np.eye(4)
 
@@ -48,10 +49,16 @@ vec4 = st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=4)
 
 @settings(max_examples=50, deadline=None)
 @given(vec4, vec4)
+# every 2x2 minor of this frame underflows to 0
+@example(u=[0.0, 0.0, 0.0, 2.05e-258], v=[0.0, 0.0, 2.05e-258, 0.0])
 def test_plucker_quadric_property(u, v):
     u, v = np.array(u), np.array(v)
     s = np.linalg.svd(np.vstack([u, v]), compute_uv=False)
-    if s[0] == 0 or s[1] <= 1e-6 * s[0]:
+    if s[1] <= DEGENERACY_RTOL * s[0] or s[0] * s[1] < np.finfo(float).tiny:
+        with pytest.raises(ValueError, match="degenerate"):
+            Frame(u, v)
+        return
+    if s[1] <= 1e-6 * s[0]:
         return
     f = Frame(u, v)
     assert plucker_embed(f).quadric_residual() <= 1e-12

@@ -15,11 +15,43 @@ E = np.eye(4)
 Q128 = QuadratureSpec(128)
 
 
+def pow_formula_design_matrix(frames, max_degree, n_nodes):
+    """Oracle: every entry from np.outer circle points and H evaluated as
+    prod(x ** E) @ C, one pow per point, term and variable."""
+    theta = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
+    x = np.stack([np.outer(np.cos(theta), f.u) + np.outer(np.sin(theta), f.v)
+                  for f in frames])
+    r2 = np.einsum("...i,...i->...", x, x)
+    columns = []
+    for k in range(0, max_degree + 1, 2):
+        for h in harmonic_basis(k):
+            expos = np.array(sorted(h.poly.coeffs))
+            coeffs = np.array([float(h.poly.coeffs[tuple(e)]) for e in expos])
+            values = np.prod(x[..., None, :] ** expos, axis=-1) @ coeffs
+            values = values * r2 ** ((-k - 2) // 2)
+            columns.append(values.sum(axis=-1) * (2.0 * np.pi / n_nodes))
+    return np.stack(columns, axis=1)
+
+
 def test_design_matrix_single_entry():
     d = design_matrix([HomogeneousFunction.radial_power(-2)],
                       [Frame(E[0], E[1])])
     assert d.shape == (1, 1)
     assert abs(d.matrix[0, 0] - 2 * np.pi) < 1e-12
+
+
+def test_design_matrix_matches_the_pow_formula():
+    frames = sample_frames(25, 1)
+    d = design_matrix(transform_basis(8), frames, Q128).matrix
+    expected = pow_formula_design_matrix(frames, 8, 128)
+    assert d.shape == expected.shape == (25, 165)
+    scale = np.max(np.abs(expected), axis=0)
+    assert np.max(np.abs(d - expected) / scale) <= 1e-13
+    # degree 0: the transform of |x|^-2 is 2 pi / sqrt(det Gram(u, v))
+    gram = np.array([[[f.u @ f.u, f.u @ f.v], [f.v @ f.u, f.v @ f.v]]
+                     for f in frames])
+    anchor = 2.0 * np.pi / np.sqrt(np.linalg.det(gram))
+    assert np.max(np.abs(d[:, 0] - anchor) / anchor) <= 1e-13
 
 
 def test_zero_function_gives_zero_column():

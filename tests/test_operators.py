@@ -6,7 +6,8 @@ from splitxray.fields import HomogeneousFunction
 from splitxray.instanton import connection_preset, gauge_transform, scalar_phase
 from splitxray.operators import (ChartField, FDSpec, box_diag, chart_to_diag,
                                  coupled_box, diag_to_chart, dn_residual,
-                                 john_operator, partials_residual)
+                                 john_operator, partials_residual,
+                                 worst_residual)
 from splitxray.poly import Poly4
 from splitxray.xray import QuadratureSpec, moment_chart_field, xray_chart_field
 
@@ -230,3 +231,11 @@ def test_chart_field_analytic_partials_check():
 def test_fdspec_validation():
     with pytest.raises(ValueError, match="positive"):
         FDSpec(h=0.0)
+
+
+def test_worst_residual_keeps_a_nan_that_comes_late():
+    # max() drops it: max(max(0.0, 1e-9), nan) is 1e-9, and 2e-9 wins
+    assert max(max(max(0.0, 1e-9), float("nan")), 2e-9) == 2e-9
+    assert np.isnan(worst_residual([1e-9, float("nan"), 2e-9]))
+    assert worst_residual(iter([1e-9, 3e-9, 2e-9])) == 3e-9
+    assert worst_residual([]) == 0.0

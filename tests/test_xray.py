@@ -106,6 +106,19 @@ def test_circle_points_shape_and_values():
     assert_allclose(pts[1], E[1], atol=1e-15)
 
 
+def test_node_columns_are_built_once_and_keep_the_points():
+    q = QuadratureSpec(96)
+    assert q == QuadratureSpec(96) and hash(q) == hash(QuadratureSpec(96))
+    assert q != QuadratureSpec(64)
+    with pytest.raises(ValueError):
+        q.cos[0] = 0.0
+    theta = np.arange(96) * (2.0 * np.pi / 96)
+    for frame in sample_frames(5, 3):
+        outer = (np.outer(np.cos(theta), frame.u)
+                 + np.outer(np.sin(theta), frame.v))
+        assert np.array_equal(circle_points(frame, q), outer)
+
+
 def test_circle_integral_constant():
     q = QuadratureSpec(64)
     assert_allclose(circle_integral(np.ones(64), q), 2 * np.pi, rtol=1e-15)
