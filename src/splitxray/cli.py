@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -118,12 +119,19 @@ def _merge_config(command, file_config, flag_values):
     return cfg
 
 
-def _validate_config(cfg):
+@functools.cache
+def _config_validator():
+    """A validator for CONFIG_SCHEMA, built on first use.  The schema itself
+    is checked against its metaschema by the tests, not on every call."""
     import jsonschema
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"invalid configuration: {e.message}") from e
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def _validate_config(cfg):
+    from jsonschema.exceptions import best_match
+    error = best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"invalid configuration: {error.message}") from error
 
 
 def _record(cfg, name, value):
@@ -284,10 +292,28 @@ def _parse_covector(entries, key):
         raise ConfigError(f"{key}: cannot parse covector component: {e}") from e
 
 
-def _penrose_base_frame(state, rng):
+def _strip_floor(cfg, check, nodes):
+    """Smallest strip half-width d of a frame integrated for `check`: there
+    the n-node trapezoid error, about e^(-n d), sits four orders of
+    magnitude below the check's tolerance."""
+    tol = cfg["tolerances"][check]
+    return math.log(1e4 / tol) / nodes if tol > 0 else math.inf
+
+
+def _wide_strip(state, frame, margin, floor):
+    """Pole-safe at `margin`, with every factor's strip at least `floor`
+    wide."""
+    report = penrose.pole_safety(state, frame, margin)
+    return report.ok and min(report.half_widths) >= floor
+
+
+def _penrose_base_frame(state, rng, margin, ratio_floor, john_floor):
     """A seeded chart-friendly frame with a wide pole margin, sitting in a
     component where the transform is not identically zero (mixed factor
-    orientation)."""
+    orientation).  The John check integrates around the chart frame of the
+    same plane, plane_from_chart(chart_from_plane(base)), which differs
+    from `base` by a 2x2 matrix that can change the strip and flip the
+    orientation; both frames are returned."""
     for _ in range(2000):
         fr = inversion.sample_frames(1, int(rng.integers(2 ** 31)))[0]
         if abs(np.linalg.det(fr.matrix()[:, :2])) < 0.3:
@@ -296,7 +322,11 @@ def _penrose_base_frame(state, rng):
             continue
         if len(set(penrose.factor_orientation(state, fr))) != 2:
             continue
-        return fr
+        chart_frame = geometry.plane_from_chart(geometry.chart_from_plane(fr))
+        if not (_wide_strip(state, fr, margin, ratio_floor)
+                and _wide_strip(state, chart_frame, margin, john_floor)):
+            continue
+        return fr, chart_frame
     raise ConfigError("no wide-margin pole-safe frame found for this "
                       "elementary state")
 
@@ -313,6 +343,8 @@ def _suite_penrose_elementary(cfg):
     is_default = (tuple(cfg["state_a"]) == DEFAULT_STATE_A
                   and tuple(cfg["state_b"]) == DEFAULT_STATE_B)
     rng = np.random.default_rng(cfg["seed"])
+    ratio_floor = _strip_floor(cfg, "penrose_ratio_spread", cfg["nodes"])
+    john_floor = _strip_floor(cfg, "penrose_john", cfg["nodes_john"])
 
     checks = []
     if is_default:
@@ -321,7 +353,8 @@ def _suite_penrose_elementary(cfg):
         value = penrose.contour_transform(state, frame, q, cfg["pole_margin"])
         checks.append(_record(cfg, "penrose_value", abs(value - (-2j * np.pi))))
 
-    base = _penrose_base_frame(state, rng)
+    base, chart_frame = _penrose_base_frame(state, rng, cfg["pole_margin"],
+                                            ratio_floor, john_floor)
     signature = penrose.factor_orientation(state, base)
 
     # ratio constancy holds per component; stay in the component of `base`
@@ -334,7 +367,7 @@ def _suite_penrose_elementary(cfg):
                               "too small for the ratio check")
         fr = geometry.Frame(base.u + 0.1 * rng.normal(size=4),
                             base.v + 0.1 * rng.normal(size=4))
-        if penrose.normalized_pole_margin(state, fr) < 0.15:
+        if not _wide_strip(state, fr, cfg["pole_margin"], ratio_floor):
             continue
         if penrose.factor_orientation(state, fr) != signature:
             continue
@@ -346,6 +379,7 @@ def _suite_penrose_elementary(cfg):
     checks.append(_record(cfg, "penrose_ratio_spread", spread))
 
     X0 = np.asarray(geometry.chart_from_plane(base))
+    chart_signature = penrose.factor_orientation(state, chart_frame)
     phi = penrose.contour_chart_field(state, xray.QuadratureSpec(cfg["nodes_john"]),
                                       cfg["pole_margin"])
     residuals = []
@@ -355,9 +389,9 @@ def _suite_penrose_elementary(cfg):
             break
         X = X0 + dX
         fr = geometry.plane_from_chart(X)
-        if penrose.normalized_pole_margin(state, fr) < 0.15:
+        if not _wide_strip(state, fr, cfg["pole_margin"], john_floor):
             continue
-        if penrose.factor_orientation(state, fr) != signature:
+        if penrose.factor_orientation(state, fr) != chart_signature:
             continue
         residuals += [abs(operators.john_operator(lambda Y: phi(Y).real, X, fd)),
                       abs(operators.john_operator(lambda Y: phi(Y).imag, X, fd))]
@@ -445,16 +479,22 @@ SUITES = {
 
 
 def run(config) -> Report:
-    """Run one suite from a validated configuration dict."""
+    """Run one suite from a configuration dict; absent keys take DEFAULTS."""
     cfg = _merge_config(config.get("command"), config, {})
     _validate_config(cfg)
+    return _run_merged(cfg)
+
+
+def _run_merged(cfg) -> Report:
+    """Run one suite from a merged and validated configuration."""
     command = cfg.get("command")
     if command not in SUITES:
         raise ConfigError(f"unknown command {command!r}")
     checks = SUITES[command](cfg)
     env = {k: cfg[k] for k in ("nodes", "nodes_john", "fd_step", "richardson",
                                "seed", "max_degree", "n_frames", "connection",
-                               "pole_margin", "state_a", "state_b")}
+                               "pole_margin", "state_a", "state_b", "noise",
+                               "save_design")}
     env["nodes_effective"] = _effective_nodes(cfg)
     env["tolerances"] = cfg["tolerances"]
     return Report(command=command, checks=checks, environment=env,
@@ -534,7 +574,7 @@ def main(argv=None):
     cfg = _merge_config(args.command, file_config, flags)
     try:
         _validate_config(cfg)
-        report = run(cfg)
+        report = _run_merged(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -3,13 +3,22 @@
 Inputs are products of integer powers of complex linear forms on C^4 with
 total homogeneity -2; evaluated over the same circle of real vectors as the
 X-ray engine, they produce complex weight -1 frame fields whose chart
-restrictions solve the John equation.  Poles are kept away from the
-integration circle by an explicit per-factor safety margin; the transform
-refuses rather than returning inaccurate values.
+restrictions solve the John equation.
+
+On the circle of a frame (u, v) a factor A . Z restricts to
+alpha cos + beta sin with alpha = A . u and beta = A . v.  Everything the
+transform needs to know about that factor's poles follows from these two
+numbers in closed form: the exact distance of the circle from the pole
+locus, the side of the unit circle its complexified zeros lie on, and the
+half-width of the strip |Im theta| < d in which the integrand is analytic,
+which sets the e^(-n d) convergence of the n-node trapezoid rule.  The
+transform refuses frames whose circle passes within a margin of a pole
+rather than returning inaccurate values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +28,6 @@ from .operators import ChartField
 from .xray import QuadratureSpec, circle_integral, circle_points
 
 DEFAULT_POLE_MARGIN = 1e-3
-# The pole scan samples the 1024 uniform angles of this rule; their cos and
-# sin are computed once, here.
-_SAFETY_GRID = QuadratureSpec(1024)
 
 
 class PoleProximityError(ValueError):
@@ -80,23 +86,60 @@ def elementary_state(a, b) -> TwistorRationalFunction:
 
 @dataclass(frozen=True)
 class PoleSafetyReport:
-    """Per-factor minimum of |A . (u cos + v sin)| over a dense angle grid."""
+    """Per-factor pole geometry of the circle of a frame.
+
+    minima[k] is the exact minimum over the circle of |A_k . (u cos + v sin)|
+    and half_widths[k] the half-width d_k of the strip |Im theta| < d_k free
+    of that factor's zeros; the trapezoid error of the transform decays like
+    e^(-n min_k d_k).
+    """
 
     minima: tuple
     margin: float = DEFAULT_POLE_MARGIN
+    half_widths: tuple = ()
 
     @property
     def ok(self):
         return all(m > self.margin for m in self.minima)
 
 
+def _circle_coefficients(a, frame: Frame):
+    """(alpha, beta) with A . (u cos + v sin) = alpha cos + beta sin."""
+    return complex(np.dot(frame.u, a)), complex(np.dot(frame.v, a))
+
+
+def _pole_geometry(alpha, beta):
+    """Exact circle minimum and strip half-width of alpha cos + beta sin.
+
+    |alpha cos + beta sin|^2 is the quadratic form of the real symmetric
+    matrix M = [[|alpha|^2, Re], [Re, |beta|^2]] (Re, Im of conj(alpha)
+    beta) on (cos, sin), and det M = Im^2, so the minimum is
+    sqrt(lambda_min) = |Im| / sqrt(lambda_max): exactly 0 when Im = 0.  The
+    zeros sit at Im theta = +-(1/2) ln(|alpha + i beta| / |alpha - i beta|);
+    since |alpha -+ i beta|^2 = |alpha|^2 + |beta|^2 +- 2 Im, that
+    half-width is (1/2) atanh(2 |Im| / (|alpha|^2 + |beta|^2)), which stays
+    accurate when Im is small.
+    """
+    cross = alpha.conjugate() * beta
+    aa = alpha.real ** 2 + alpha.imag ** 2
+    bb = beta.real ** 2 + beta.imag ** 2
+    trace = aa + bb
+    if trace == 0.0:
+        # the whole plane lies in the factor's zero hyperplane
+        return 0.0, 0.0
+    lam_max = 0.5 * (trace + math.hypot(aa - bb, 2.0 * cross.real))
+    minimum = abs(cross.imag) / math.sqrt(lam_max)
+    ratio = min(2.0 * abs(cross.imag) / trace, 1.0)
+    return minimum, (math.inf if ratio == 1.0 else 0.5 * math.atanh(ratio))
+
+
 def pole_safety(f: TwistorRationalFunction, frame: Frame,
                 margin=DEFAULT_POLE_MARGIN) -> PoleSafetyReport:
-    minima = []
-    for a, _ in f.factors:
-        w = (frame.u @ a) * _SAFETY_GRID.cos + (frame.v @ a) * _SAFETY_GRID.sin
-        minima.append(float(np.min(np.abs(w))))
-    return PoleSafetyReport(tuple(minima), margin)
+    """Exact per-factor pole distances and strip half-widths (closed form)."""
+    geometry = [_pole_geometry(*_circle_coefficients(a, frame))
+                for a, _ in f.factors]
+    return PoleSafetyReport(tuple(m for m, _ in geometry), margin,
+                            tuple(d for _, d in geometry))
 
 
 def contour_transform(f: TwistorRationalFunction, frame: Frame,
@@ -153,8 +196,7 @@ def factor_orientation(f: TwistorRationalFunction, frame: Frame):
     """
     signs = []
     for a, _ in f.factors:
-        alpha = complex(frame.u @ a)
-        beta = complex(frame.v @ a)
+        alpha, beta = _circle_coefficients(a, frame)
         signs.append(1 if (np.conj(alpha) * beta).imag > 0 else -1)
     return tuple(signs)
 
@@ -166,6 +208,6 @@ def normalized_pole_margin(f: TwistorRationalFunction, frame: Frame):
     zero mean poles hug the circle and many nodes would be needed.
     """
     report = pole_safety(f, frame)
-    scale = max(np.linalg.norm(frame.u), np.linalg.norm(frame.v))
-    return min(m / (np.linalg.norm(a) * scale)
+    scale = math.sqrt(max(np.dot(frame.u, frame.u), np.dot(frame.v, frame.v)))
+    return min(m / (math.sqrt(np.vdot(a, a).real) * scale)
                for m, (a, _) in zip(report.minima, f.factors))

@@ -105,15 +105,8 @@ def xray_chart_field(f: HomogeneousFunction,
 _PARITY_PROBE = np.array([0.31, 0.67, -0.44, 0.52])
 
 
-def xray_moments(f: HomogeneousFunction, frame: Frame, n,
-                 q: QuadratureSpec = QuadratureSpec()):
-    """Helicity moment vector (phi_0, ..., phi_n) of a degree -n-2 input.
-
-    phi_k = integral over the circle of f * cos^(n-k) * sin^k.  The input
-    must have parity (-1)^n under x -> -x (checked at a probe point);
-    n = 0 reduces to the plain transform.
-    """
-    n = int(n)
+def _check_moment_input(f: HomogeneousFunction, n):
+    """Degree -n-2 and parity (-1)^n under x -> -x, checked at a probe point."""
     if n < 0:
         raise ValueError("helicity index must be nonnegative")
     if f.degree != -n - 2:
@@ -123,10 +116,27 @@ def xray_moments(f: HomogeneousFunction, frame: Frame, n,
     minus = f(-_PARITY_PROBE)
     if abs(minus - (-1.0) ** n * plus) > 1e-9 * (1.0 + abs(plus)):
         raise ValueError(f"input does not have parity (-1)^{n} under x -> -x")
+
+
+def _moments(f: HomogeneousFunction, frame: Frame, n, q: QuadratureSpec):
+    """The moment vector of an input already checked by _check_moment_input."""
     c, s = q.cos, q.sin
     vals = f(circle_points(frame, q))
     return np.array([circle_integral(vals * c ** (n - k) * s ** k, q)
                      for k in range(n + 1)])
+
+
+def xray_moments(f: HomogeneousFunction, frame: Frame, n,
+                 q: QuadratureSpec = QuadratureSpec()):
+    """Helicity moment vector (phi_0, ..., phi_n) of a degree -n-2 input.
+
+    phi_k = integral over the circle of f * cos^(n-k) * sin^k.  The input
+    must have parity (-1)^n under x -> -x (checked at a probe point);
+    n = 0 reduces to the plain transform.
+    """
+    n = int(n)
+    _check_moment_input(f, n)
+    return _moments(f, frame, n, q)
 
 
 @dataclass(frozen=True)
@@ -139,14 +149,19 @@ class MomentField:
 
 def moment_chart_field(f: HomogeneousFunction, n,
                        q: QuadratureSpec = QuadratureSpec()) -> MomentField:
-    """Moments composed with plane_from_chart, one chart function per k."""
+    """Moments composed with plane_from_chart, one chart function per k.
+
+    The input is checked once, here, not at every chart point.
+    """
+    n = int(n)
+    _check_moment_input(f, n)
 
     def component(k):
         def phi(X):
-            return xray_moments(f, plane_from_chart(X), n, q)[k]
+            return _moments(f, plane_from_chart(X), n, q)[k]
         return phi
 
-    return MomentField(n=int(n), components=tuple(component(k) for k in range(n + 1)))
+    return MomentField(n=n, components=tuple(component(k) for k in range(n + 1)))
 
 
 def equivariance_residual(f: HomogeneousFunction, g, frames,

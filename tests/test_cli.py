@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from splitxray import operators, xray
-from splitxray.cli import ConfigError, main, run
+from splitxray import cli, operators, xray
+from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
 from splitxray.defaults import DEFAULTS, TOLERANCES
 
 
@@ -59,6 +59,20 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     code = main(["verify-selfdual", "--config", str(cfg)])
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_config_schema_is_a_valid_schema():
+    import jsonschema
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+def test_main_merges_and_validates_once(monkeypatch, capsys):
+    calls = []
+    validate = cli._validate_config
+    monkeypatch.setattr(cli, "_validate_config",
+                        lambda cfg: calls.append(cfg) or validate(cfg))
+    assert main(["verify-coupled-box", "--seed", "3"]) == 0
+    assert len(calls) == 1 and calls[0]["seed"] == 3
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -116,6 +130,24 @@ def test_run_api_returns_report():
     assert report.overall
     assert report.command == "verify-coupled-box"
     assert report.environment["seed"] == 1
+
+
+def test_environment_records_every_input(tmp_path):
+    prefix = str(tmp_path / "design")
+    report = run({"command": "reconstruct", "max_degree": 2, "n_frames": 12,
+                  "noise": 1e-9, "save_design": prefix})
+    assert report.environment["noise"] == 1e-9
+    assert report.environment["save_design"] == prefix
+    defaults = run({"command": "verify-coupled-box"}).environment
+    assert defaults["noise"] == 0.0 and defaults["save_design"] is None
+
+
+# seeds at which neighbours with a narrow analyticity strip, or a John
+# check comparing orientations across a chart frame, used to fail
+@pytest.mark.parametrize("seed", [25, 37, 55, 63, 67, 87])
+def test_penrose_elementary_passes_at_formerly_failing_seeds(seed):
+    report = run({"command": "penrose-elementary", "seed": seed})
+    assert report.overall, [(c.name, c.value) for c in report.checks]
 
 
 def test_defaults_table_is_consistent():

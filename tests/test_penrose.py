@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from splitxray.fields import HomogeneousFunction
 from splitxray.geometry import Frame, plane_from_chart
+from splitxray.inversion import sample_frames
 from splitxray.operators import FDSpec, john_operator
 from splitxray.penrose import (PoleProximityError, TwistorRationalFunction,
                                contour_chart_field, contour_transform,
@@ -93,6 +96,114 @@ def test_pole_safety_report_values():
     assert report.ok
     report_bad = pole_safety(state, plane_from_chart(np.zeros((2, 2))))
     assert not report_bad.ok
+
+
+def _sweep_cases(seed, n_states=8, frames_per_state=625):
+    """Generic elementary states with seeded frames, drawn as the
+    penrose-sweep benchmark workload draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_states):
+        a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        yield elementary_state(a, b), sample_frames(
+            frames_per_state, int(rng.integers(2 ** 31)))
+
+
+def test_pole_safety_minima_are_exact():
+    # |alpha cos + beta sin|^2 = l_min + (l_max - l_min) sin^2(theta - t*),
+    # so a grid with spacing h reads between the exact minimum and
+    # sqrt(l_min + (l_max - l_min) sin^2(h / 2))
+    checked = 0
+    for state, frames in _sweep_cases(5, n_states=2, frames_per_state=50):
+        for fr in frames:
+            report = pole_safety(state, fr)
+            for (a, _), m in zip(state.factors, report.minima):
+                alpha, beta = fr.u @ a, fr.v @ a
+                vec = np.array([alpha, beta])
+                l_min, l_max = np.linalg.eigvalsh(np.outer(vec, vec.conj()).real)
+                grids = {}
+                for n in (1024, 2 ** 16):
+                    q = QuadratureSpec(n)
+                    grids[n] = np.min(np.abs(alpha * q.cos + beta * q.sin))
+                    half_step = math.sin(math.pi / n)
+                    assert m <= grids[n] * (1 + 1e-12)
+                    assert grids[n] <= math.sqrt(
+                        m ** 2 + l_max * half_step ** 2) * (1 + 1e-12)
+                if l_max <= 4 * l_min:
+                    # a minimum this flat is resolved by the fine scan
+                    assert grids[2 ** 16] == pytest.approx(m, rel=1e-8)
+                    checked += 1
+    assert checked >= 20
+
+
+def test_pole_distance_is_exactly_zero_on_a_real_factor():
+    # conj(alpha) beta = conj(1 + i) (2 + 2i) = 4 is real: the circle
+    # passes through the factor's zero set
+    state = elementary_state((1 + 1j) * np.array([1.0, 2.0, 0, 0]), B)
+    report = pole_safety(state, Frame(E[0], E[1]))
+    assert report.minima[0] == 0.0 and report.half_widths[0] == 0.0
+    assert not report.ok
+
+
+def test_refuses_a_pole_between_the_nodes_of_a_1024_grid():
+    # A.(u cos + v sin) = sin(t - t0) + i eps cos(t - t0): the circle
+    # passes within eps of the pole at t0, half a step between grid angles
+    t0, eps = math.pi / 1024, 1e-4
+    a = np.array([-math.sin(t0) + 1j * eps * math.cos(t0),
+                  math.cos(t0) + 1j * eps * math.sin(t0), 0, 0])
+    frame = Frame(E[0], E[1])
+    state = elementary_state(a, [1, -1j, 0, 0])
+    grid = QuadratureSpec(1024)
+    assert np.min(np.abs(a[0] * grid.cos + a[1] * grid.sin)) > 1e-3
+    assert pole_safety(state, frame).minima[0] == pytest.approx(eps, rel=1e-12)
+    with pytest.raises(PoleProximityError, match="factor 0 passes within 1.000e-04"):
+        contour_transform(state, frame, margin=1e-3)
+
+
+def _orientation_reference(f, frame):
+    signs = []
+    for a, _ in f.factors:
+        alpha = complex(frame.u @ a)
+        beta = complex(frame.v @ a)
+        signs.append(1 if (np.conj(alpha) * beta).imag > 0 else -1)
+    return tuple(signs)
+
+
+def test_factor_orientation_matches_its_reference_on_the_sweep_frames():
+    count = 0
+    for state, frames in _sweep_cases(1):
+        for fr in frames:
+            assert factor_orientation(state, fr) == _orientation_reference(state, fr)
+            count += 1
+    assert count == 5000
+
+
+def test_half_widths_match_the_log_form():
+    for state, frames in _sweep_cases(2, n_states=2, frames_per_state=50):
+        for fr in frames:
+            report = pole_safety(state, fr)
+            for (a, _), d in zip(state.factors, report.half_widths):
+                alpha, beta = fr.u @ a, fr.v @ a
+                log_form = 0.5 * abs(math.log(abs(alpha + 1j * beta)
+                                              / abs(alpha - 1j * beta)))
+                assert d == pytest.approx(log_form, rel=1e-10)
+
+
+def test_trapezoid_error_decays_like_exp_minus_n_d():
+    # A restricts to cos + i rho sin on (e1, rho' e2): zeros at
+    # Im t = +-atanh(rho rho'); B = e^(-i t) has none
+    a = np.array([1, 0.5j, 0, 0])
+    b = np.array([1, -1j, 0, 0])
+    state = elementary_state(a, b)
+    for frame, d in ((Frame(E[0], E[1]), math.atanh(0.5)),
+                     (Frame(E[0], 0.6 * E[1]), math.atanh(0.3))):
+        report = pole_safety(state, frame)
+        assert min(report.half_widths) == pytest.approx(d, rel=1e-12)
+        assert factor_orientation(state, frame) == (1, -1)
+        exact = -4j * np.pi / wedge_pairing(a, b, frame)
+        scaled = [abs(contour_transform(state, frame, QuadratureSpec(n)) - exact)
+                  * math.exp(n * d) for n in (16, 24, 32, 40)]
+        assert max(scaled) < 1.02 * min(scaled)
 
 
 def test_weight_law_for_contour_transform():

@@ -161,6 +161,8 @@ def test_moments_parity_mismatch():
         lambda x: np.zeros(x.shape))
     with pytest.raises(ValueError, match="parity"):
         xray_moments(odd, Frame(E[0], E[1]), 2)
+    with pytest.raises(ValueError, match="parity"):
+        moment_chart_field(odd, 2)
 
 
 def test_moments_reduce_to_transform_at_zero():
@@ -177,6 +179,24 @@ def test_moment_chart_field_components():
     assert m.n == 1 and len(m.components) == 2
     assert_allclose([m.components[0](np.zeros((2, 2))),
                      m.components[1](np.zeros((2, 2)))], [np.pi, 0.0], atol=1e-13)
+
+
+def test_moment_chart_field_checks_parity_once():
+    shapes = []
+
+    def value(x):
+        shapes.append(x.shape)
+        return x[..., 0] * np.einsum("...i,...i->...", x, x) ** -2
+
+    f = HomogeneousFunction(-3, value, lambda x: np.zeros(x.shape))
+    q = QuadratureSpec(16)
+    m = moment_chart_field(f, 1, q)
+    X = np.array([[0.1, -0.2], [0.3, 0.05]])
+    for k in (0, 1):
+        assert m.components[k](X) == xray_moments(f, plane_from_chart(X), 1, q)[k]
+    # f(p) and f(-p) once for the field and once per xray_moments call
+    assert shapes.count((4,)) == 2 + 2 * 2
+    assert shapes.count((16, 4)) == 2 + 2
 
 
 # ---- equivariance ---------------------------------------------------------------
