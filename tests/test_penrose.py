@@ -161,6 +161,7 @@ def test_refuses_a_pole_between_the_nodes_of_a_1024_grid():
 
 
 def _orientation_reference(f, frame):
+    """factor_orientation written out with its original arithmetic."""
     signs = []
     for a, _ in f.factors:
         alpha = complex(frame.u @ a)
