@@ -9,9 +9,9 @@ from .geometry import (ComplexProjectivePoint, FlagPoint, Frame, GPoint,
                        PlueckerPoint, RealProjectivePoint, chart_from_plane,
                        incidence, mu_inverse, mu_restrict, pi_project,
                        plane_from_chart, plucker_embed)
-from .instanton import (Connection, Curvature, GaugeMap, SplitMetric,
-                        bianchi_residual, connection_preset, constant_gauge,
-                        curvature, gauge_transform, hodge_star, scalar_phase,
+from .instanton import (Connection, Curvature, GaugeMap, bianchi_residual,
+                        connection_preset, constant_gauge, curvature,
+                        gauge_transform, hodge_star, scalar_phase,
                         selfdual_residual)
 from .inversion import (DesignMatrix, InjectivityReport, ReconstructionReport,
                         design_matrix, injectivity_report, load_design_matrix,

@@ -6,9 +6,13 @@ defaults.TOLERANCES (overridable per check), assembles a Report, and exits
 configuration errors.  Reports are deterministic for a fixed seed up to
 the timestamp field.
 
+The suites are the catalogue of checks; the acceptance tests run them at
+pinned seeds.
+
 Configuration is a JSON object (see CONFIG_SCHEMA); a --config file is
-merged under the command-line flags, which use the same long names as the
-config keys.
+merged under the command-line flags.  Each schema key `foo_bar` but
+`command` is the flag `--foo-bar` of every subcommand, parsed by its schema
+type.  A report's environment records every key of defaults.DEFAULTS.
 """
 
 from __future__ import annotations
@@ -45,15 +49,23 @@ CONFIG_SCHEMA = {
         "connection": {"type": "string"},
         "pole_margin": {"type": "number", "exclusiveMinimum": 0},
         "state_a": {"type": "array", "minItems": 4, "maxItems": 4,
-                    "items": {"type": ["string", "number"]}},
+                    "items": {"type": ["string", "number"]},
+                    "description": "comma-separated covector, e.g. '1,0,1j,0'"},
         "state_b": {"type": "array", "minItems": 4, "maxItems": 4,
-                    "items": {"type": ["string", "number"]}},
-        "save_design": {"type": ["string", "null"]},
-        "noise": {"type": "number", "minimum": 0},
-        "output": {"type": ["string", "null"]},
+                    "items": {"type": ["string", "number"]},
+                    "description": "comma-separated covector, e.g. '1j,0,1,0'"},
+        "save_design": {"type": ["string", "null"],
+                        "description": "path prefix for the design matrix CSV "
+                                       "+ sidecar"},
+        "noise": {"type": "number", "minimum": 0,
+                  "description": "sample noise level for reconstruct "
+                                 "(default 0)"},
+        "output": {"type": ["string", "null"],
+                   "description": "write the report to this path"},
         "format": {"enum": ["json", "csv"]},
         "tolerances": {
             "type": "object",
+            "description": "JSON object of per-check tolerance overrides",
             "additionalProperties": False,
             "properties": {k: {"type": "number", "minimum": 0}
                            for k in DEFAULTS["tolerances"]},
@@ -281,10 +293,6 @@ def _suite_verify_coupled_box(cfg):
     return checks
 
 
-DEFAULT_STATE_A = ("1", "0", "1j", "0")
-DEFAULT_STATE_B = ("1j", "0", "1", "0")
-
-
 def _parse_covector(entries, key):
     try:
         return np.array([complex(str(e).replace(" ", "")) for e in entries])
@@ -340,8 +348,8 @@ def _suite_penrose_elementary(cfg):
         state = penrose.elementary_state(a, b)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    is_default = (tuple(cfg["state_a"]) == DEFAULT_STATE_A
-                  and tuple(cfg["state_b"]) == DEFAULT_STATE_B)
+    is_default = (cfg["state_a"] == DEFAULTS["state_a"]
+                  and cfg["state_b"] == DEFAULTS["state_b"])
     rng = np.random.default_rng(cfg["seed"])
     ratio_floor = _strip_floor(cfg, "penrose_ratio_spread", cfg["nodes"])
     john_floor = _strip_floor(cfg, "penrose_john", cfg["nodes_john"])
@@ -393,8 +401,7 @@ def _suite_penrose_elementary(cfg):
             continue
         if penrose.factor_orientation(state, fr) != chart_signature:
             continue
-        residuals += [abs(operators.john_operator(lambda Y: phi(Y).real, X, fd)),
-                      abs(operators.john_operator(lambda Y: phi(Y).imag, X, fd))]
+        residuals.append(abs(operators.john_operator(phi, X, fd)))
         tried += 1
     if tried == 0:
         raise ConfigError("no pole-safe chart neighborhood for the John check")
@@ -491,15 +498,29 @@ def _run_merged(cfg) -> Report:
     if command not in SUITES:
         raise ConfigError(f"unknown command {command!r}")
     checks = SUITES[command](cfg)
-    env = {k: cfg[k] for k in ("nodes", "nodes_john", "fd_step", "richardson",
-                               "seed", "max_degree", "n_frames", "connection",
-                               "pole_margin", "state_a", "state_b", "noise",
-                               "save_design")}
+    env = {k: cfg[k] for k in DEFAULTS}
     env["nodes_effective"] = _effective_nodes(cfg)
-    env["tolerances"] = cfg["tolerances"]
     return Report(command=command, checks=checks, environment=env,
                   overall=all(c.passed for c in checks),
                   timestamp=datetime.now(timezone.utc).isoformat())
+
+
+def _on_off(text):
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
+def _json_object(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {e}") from e
+
+
+# How a flag's text becomes a value of its schema type; other flags are text.
+_FLAG_TYPES = {"integer": int, "number": float, "boolean": _on_off,
+               "array": lambda text: text.split(","), "object": _json_object}
 
 
 def _build_parser():
@@ -510,68 +531,33 @@ def _build_parser():
     for name in SUITES:
         p = sub.add_parser(name, help=f"run the {name} suite")
         p.add_argument("--config", help="JSON config file merged under flags")
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--nodes-john", dest="nodes_john", type=int)
-        p.add_argument("--fd-step", dest="fd_step", type=float)
-        p.add_argument("--richardson", choices=("on", "off"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-degree", dest="max_degree", type=int)
-        p.add_argument("--n-frames", dest="n_frames", type=int)
-        p.add_argument("--connection")
-        p.add_argument("--pole-margin", dest="pole_margin", type=float)
-        p.add_argument("--state-a", dest="state_a",
-                       help="comma-separated covector, e.g. '1,0,1j,0'")
-        p.add_argument("--state-b", dest="state_b",
-                       help="comma-separated covector, e.g. '1j,0,1,0'")
-        p.add_argument("--save-design", dest="save_design",
-                       help="path prefix for the design matrix CSV + sidecar")
-        p.add_argument("--noise", type=float,
-                       help="sample noise level for reconstruct (default 0)")
-        p.add_argument("--tolerances",
-                       help="JSON object of per-check tolerance overrides")
-        p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv"))
+        for key, spec in CONFIG_SCHEMA["properties"].items():
+            if key == "command":
+                continue
+            kind = spec.get("type")
+            kind = kind[0] if isinstance(kind, list) else kind
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=_FLAG_TYPES.get(kind, str),
+                           choices=spec.get("enum"),
+                           metavar="on|off" if kind == "boolean" else None,
+                           help=spec.get("description"))
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    config_path = flags.pop("config")
 
     file_config = {}
-    if args.config:
+    if config_path:
         try:
-            with open(args.config) as fh:
+            with open(config_path) as fh:
                 file_config = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 2
 
-    flags = {
-        "nodes": args.nodes,
-        "nodes_john": args.nodes_john,
-        "fd_step": args.fd_step,
-        "richardson": None if args.richardson is None else args.richardson == "on",
-        "seed": args.seed,
-        "max_degree": args.max_degree,
-        "n_frames": args.n_frames,
-        "connection": args.connection,
-        "pole_margin": args.pole_margin,
-        "state_a": None if args.state_a is None else args.state_a.split(","),
-        "state_b": None if args.state_b is None else args.state_b.split(","),
-        "save_design": args.save_design,
-        "noise": args.noise,
-        "output": args.output,
-        "format": args.format,
-    }
-    if args.tolerances:
-        try:
-            flags["tolerances"] = json.loads(args.tolerances)
-        except json.JSONDecodeError as e:
-            print(f"error: --tolerances is not valid JSON: {e}", file=sys.stderr)
-            return 2
-
-    cfg = _merge_config(args.command, file_config, flags)
+    cfg = _merge_config(flags["command"], file_config, flags)
     try:
         _validate_config(cfg)
         report = _run_merged(cfg)

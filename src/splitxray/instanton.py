@@ -35,13 +35,6 @@ LEVI_CIVITA = _levi_civita()
 LEVI_CIVITA.setflags(write=False)
 
 
-class SplitMetric:
-    """The fixed signature-(2,2) metric and orientation used throughout."""
-
-    diag = METRIC_DIAG
-    epsilon = LEVI_CIVITA
-
-
 class Connection:
     """Four n x n matrix coefficient functions A_1..A_4 on R^4.
 
@@ -292,10 +285,6 @@ def gauge_transform(A: Connection, g: GaugeMap) -> Connection:
 
 
 # ---- named presets --------------------------------------------------------
-
-_SL2_E = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_SL2_F = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
 
 def _parse_monomial(text):
     """Exponent tuple for a product like 'x1' or 'x1*x3'; used by presets."""

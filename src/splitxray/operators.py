@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .defaults import DEFAULTS
+
 
 def worst_residual(values):
     """Largest of the residuals, 0.0 for none, and NaN if any is NaN.
@@ -39,8 +41,8 @@ _E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
 class FDSpec:
     """Central-difference step and Richardson-extrapolation switch."""
 
-    h: float = 1e-3
-    richardson: bool = True
+    h: float = DEFAULTS["fd_step"]
+    richardson: bool = DEFAULTS["richardson"]
 
     def __post_init__(self):
         if self.h <= 0.0:
@@ -74,12 +76,8 @@ def partials_residual(field: ChartField, X, fd: FDSpec = FDSpec()):
                           for a, e in zip(analytic.ravel(), units))
 
 
-def _eval(phi, X):
-    return phi(X)
-
-
 def _first_diff_step(phi, X, direction, h):
-    return (_eval(phi, X + h * direction) - _eval(phi, X - h * direction)) / (2.0 * h)
+    return (phi(X + h * direction) - phi(X - h * direction)) / (2.0 * h)
 
 
 def _first_diff(phi, X, direction, fd: FDSpec):
@@ -92,8 +90,8 @@ def _first_diff(phi, X, direction, fd: FDSpec):
 
 def _mixed_step(phi, X, da, db, h):
     """4-point cross stencil for the mixed second partial along da, db."""
-    return (_eval(phi, X + h * (da + db)) - _eval(phi, X + h * (da - db))
-            - _eval(phi, X - h * (da - db)) + _eval(phi, X - h * (da + db))
+    return (phi(X + h * (da + db)) - phi(X + h * (da - db))
+            - phi(X - h * (da - db)) + phi(X - h * (da + db))
             ) / (4.0 * h * h)
 
 

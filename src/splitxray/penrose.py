@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULTS
 from .geometry import Frame, plane_from_chart
 from .operators import ChartField
 from .xray import QuadratureSpec, circle_integral, circle_points
-
-DEFAULT_POLE_MARGIN = 1e-3
 
 
 class PoleProximityError(ValueError):
@@ -95,7 +94,7 @@ class PoleSafetyReport:
     """
 
     minima: tuple
-    margin: float = DEFAULT_POLE_MARGIN
+    margin: float = DEFAULTS["pole_margin"]
     half_widths: tuple = ()
 
     @property
@@ -134,7 +133,7 @@ def _pole_geometry(alpha, beta):
 
 
 def pole_safety(f: TwistorRationalFunction, frame: Frame,
-                margin=DEFAULT_POLE_MARGIN) -> PoleSafetyReport:
+                margin=DEFAULTS["pole_margin"]) -> PoleSafetyReport:
     """Exact per-factor pole distances and strip half-widths (closed form)."""
     geometry = [_pole_geometry(*_circle_coefficients(a, frame))
                 for a, _ in f.factors]
@@ -144,7 +143,7 @@ def pole_safety(f: TwistorRationalFunction, frame: Frame,
 
 def contour_transform(f: TwistorRationalFunction, frame: Frame,
                       q: QuadratureSpec = QuadratureSpec(),
-                      margin=DEFAULT_POLE_MARGIN):
+                      margin=DEFAULTS["pole_margin"]):
     """Circle integral of f over the frame (same nodes as the X-ray engine).
 
     Requires homogeneity -2 and a pole-safe frame; the result is a weight
@@ -164,7 +163,7 @@ def contour_transform(f: TwistorRationalFunction, frame: Frame,
 
 def contour_chart_field(f: TwistorRationalFunction,
                         q: QuadratureSpec = QuadratureSpec(),
-                        margin=DEFAULT_POLE_MARGIN) -> ChartField:
+                        margin=DEFAULTS["pole_margin"]) -> ChartField:
     """Chart restriction of the contour transform (complex-valued)."""
 
     def phi(X):

@@ -23,11 +23,10 @@ from typing import Callable
 
 import numpy as np
 
+from .defaults import DEFAULTS
 from .fields import HomogeneousFunction, WeightedField
 from .geometry import Frame, plane_from_chart
 from .operators import ChartField, worst_residual
-
-DEFAULT_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class QuadratureSpec:
     are read-only; every transform on this spec reuses them.
     """
 
-    n_nodes: int = DEFAULT_NODES
+    n_nodes: int = DEFAULTS["nodes"]
     cos: np.ndarray = field(init=False, repr=False, compare=False)
     sin: np.ndarray = field(init=False, repr=False, compare=False)
 

@@ -1,15 +1,18 @@
 """Acceptance suite: every criterion at its pinned tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
-per criterion.  Tolerances come from splitxray.defaults.TOLERANCES and are
-not relaxed anywhere.
+per check.  Criteria 2-9 run the CLI suites, the program's catalogue of
+checks, at seeds 102-109; criteria 1 and 10 check what no suite covers.
+Tolerances come from splitxray.defaults.TOLERANCES and are not relaxed
+anywhere.
 """
 
 import numpy as np
-from numpy.testing import assert_allclose
 
 import splitxray as sx
+from splitxray import cli, xray
 from splitxray.defaults import TOLERANCES
+from splitxray.operators import worst_residual
 
 E = np.eye(4)
 
@@ -18,6 +21,25 @@ def announce(num, label, value, tol, ok):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {num}: {label}: {value:.3e} vs {tol:.3e}")
     assert ok, f"criterion {num} failed: {label}: {value:.3e} > {tol:.3e}"
+
+
+def run_suite(num, command, seed, names, **config):
+    """Run a CLI suite and announce each of its checks, which must be
+    `names`, at the check's pinned tolerance."""
+    report = cli.run({"command": command, "seed": seed, **config})
+    assert [c.name for c in report.checks] == names
+    for c in report.checks:
+        tol = TOLERANCES[c.name.split(":")[0]]
+        announce(num, c.name, c.value, tol, c.value <= tol)
+
+
+def spy(monkeypatch, module, name):
+    """Record every result of module.name, which the suites look up at call
+    time."""
+    results, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: results.append(real(*args))
+                        or results[-1])
+    return results
 
 
 def test_criterion_01_flagship_closed_form():
@@ -29,227 +51,62 @@ def test_criterion_01_flagship_closed_form():
 
     phi = sx.xray_chart_field(f, sx.QuadratureSpec(64))
     rng = np.random.default_rng(101)
-    worst = 0.0
+    errors = []
     for _ in range(20):
         X = 0.5 * rng.normal(size=(2, 2))
         u = np.array([1, 0, X[0, 0], X[0, 1]])
         v = np.array([0, 1, X[1, 0], X[1, 1]])
         gram = (u @ u) * (v @ v) - (u @ v) ** 2
-        worst = max(worst, abs(phi(X) - 2 * np.pi / np.sqrt(gram)))
+        errors.append(abs(phi(X) - 2 * np.pi / np.sqrt(gram)))
+    worst = worst_residual(errors)
     tol = TOLERANCES["chart_closed_form"]
     announce("1b", "chart field matches 2pi/sqrt(G) at 20 seeded X",
              worst, tol, worst <= tol)
 
 
-def test_criterion_02_john_equation_over_basis():
-    rng = np.random.default_rng(102)
-    q = sx.QuadratureSpec(128)
-    fd = sx.FDSpec(1e-3, richardson=True)
-    worst = 0.0
-    count = 0
-    for k in (0, 2, 4):
-        for h in sx.harmonic_basis(k):
-            phi = sx.xray_chart_field(sx.basis_to_degree_minus_2(h), q)
-            count += 1
-            for _ in range(10):
-                X = 0.35 * rng.normal(size=(2, 2))
-                worst = max(worst, abs(sx.john_operator(phi, X, fd)))
-    assert count == 35
-    tol = TOLERANCES["john"]
-    announce(2, "John residual over 35 basis transforms x 10 points",
-             worst, tol, worst <= tol)
+def test_criterion_02_john_equation_over_basis(monkeypatch):
+    fields = spy(monkeypatch, xray, "xray_chart_field")
+    run_suite(2, "verify-john", 102, ["john:deg0", "john:deg2", "john:deg4"])
+    assert len(fields) == 35
 
 
-def test_criterion_03_weight_law():
-    rng = np.random.default_rng(103)
-    q = sx.QuadratureSpec(128)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    worst = 0.0
-    negative_seen = 0
-    for k in (0, 2):
-        for h in sx.harmonic_basis(k)[:3]:
-            phi = sx.xray_weighted_field(sx.basis_to_degree_minus_2(h), q)
-            frame = sx.sample_frames(1, int(rng.integers(2 ** 31)))[0]
-            gs = [sx.random_gl2(rng) for _ in range(19)]
-            gs.append(swap)
-            for g in gs:
-                negative_seen += np.linalg.det(g) < 0
-                worst = max(worst, sx.weight_transform_residual(phi, frame, g))
-    assert negative_seen >= 8
-    tol = TOLERANCES["weight_law"]
-    announce(3, "|det g|^-1 law incl. det g < 0", worst, tol, worst <= tol)
+def test_criterion_03_weight_law(monkeypatch):
+    gs = spy(monkeypatch, xray, "random_gl2")
+    run_suite(3, "verify-weight-law", 103, ["weight_law:deg0", "weight_law:deg2"])
+    assert sum(np.linalg.det(g) < 0 for g in gs) >= 8
 
 
 def test_criterion_04_equivariance():
-    rng = np.random.default_rng(104)
-    frames = sx.sample_frames(20, 104)
-    inputs = [sx.basis_to_degree_minus_2(h) for k in (0, 2)
-              for h in sx.harmonic_basis(k)]
-    worst = 0.0
-    for _ in range(10):
-        g = sx.random_sl4(rng)
-        for f in inputs:
-            worst = max(worst, sx.equivariance_residual(f, g, frames))
-    tol = TOLERANCES["equivariance"]
-    announce(4, "SL(4) equivariance over 10 g x 10 fields x 20 frames",
-             worst, tol, worst <= tol)
+    run_suite(4, "verify-equivariance", 104,
+              ["equivariance:deg0", "equivariance:deg2"])
 
 
 def test_criterion_05_moment_consistency():
-    rng = np.random.default_rng(105)
-    fd = sx.FDSpec(1e-3, richardson=True)
-    worst = 0.0
-    for n in (1, 2):
-        for h in sx.harmonic_basis(n):
-            f = (sx.HomogeneousFunction.from_poly(h.poly)
-                 * sx.HomogeneousFunction.radial_power(-2 * n - 2))
-            m = sx.moment_chart_field(f, n, sx.QuadratureSpec(64))
-            for _ in range(5):
-                X = 0.35 * rng.normal(size=(2, 2))
-                worst = max(worst, sx.dn_residual(m, X, fd))
-    tol = TOLERANCES["moments"]
-    announce(5, "moment consistency for n in {1,2}", worst, tol, worst <= tol)
+    run_suite(5, "verify-moments", 105, ["moments:n1", "moments:n2"])
 
 
 def test_criterion_06_bijectivity_witness():
-    q = sx.QuadratureSpec(128)
-    report = sx.injectivity_report(4, 120, 106, q)
-    defect = abs(report.rank - 35)
-    announce("6a", "rank of the 120x35 design matrix is 35",
-             float(defect), 0.0, defect == 0)
-
-    basis = sx.transform_basis(4)
-    frames = sx.sample_frames(120, 106)
-    d = sx.design_matrix(basis, frames, q)
-    rng = np.random.default_rng(1060)
-    worst = 0.0
-    for _ in range(3):
-        c = rng.normal(size=35)
-        rec = sx.reconstruct(d.matrix @ c, d)
-        worst = max(worst, float(np.linalg.norm(rec.coefficients - c)
-                                 / np.linalg.norm(c)))
-    tol = TOLERANCES["reconstruction"]
-    announce("6b", "coefficient reconstruction", worst, tol, worst <= tol)
+    run_suite("6a", "injectivity", 106, ["rank_defect"])
+    run_suite("6b", "reconstruct", 106, ["reconstruction"])
 
 
 def test_criterion_07_split_instanton():
-    rng = np.random.default_rng(107)
-    points = [0.8 * rng.normal(size=4) for _ in range(5)]
-    conn = sx.connection_preset("flagship-u1")
-
-    res = sx.selfdual_residual(conn, points)
-    tol = TOLERANCES["selfdual"]
-    announce("7a", "flagship-u1 self-duality", res, tol, res <= tol)
-
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    worst = 0.0
-    for pair in pairs:
-        F = sx.Curvature(1, {p: np.array([[1.0 + 0j if p == pair else 0.0j]])
-                             for p in pairs})
-        worst = max(worst, (sx.hodge_star(sx.hodge_star(F)) - F).norm())
-    tol = TOLERANCES["star_involution"]
-    announce("7b", "star squared is the identity on all 6 basis 2-forms",
-             worst, tol, worst <= tol)
-
-    g = sx.scalar_phase(sx.Poly4.monomial((1, 1, 0, 0)))
-    moved = sx.gauge_transform(conn, g)
-    drift = abs(sx.selfdual_residual(moved, points)
-                - sx.selfdual_residual(conn, points))
-    tol = TOLERANCES["gauge_invariance"]
-    announce("7c", "gauge invariance of the residual", drift, tol, drift <= tol)
-
-    one = lambda x: np.array([1.0 + 0.0j])
-    value = sx.coupled_box(conn, one, np.array([1.0, 0.0, 2.0, 0.0]),
-                           sx.FDSpec(1e-3, True))[0]
-    err = abs(value - 3.0)
-    tol = TOLERANCES["coupled_box"]
-    announce("7d", "coupled wave operator hand value -x1^2+x3^2 = 3 at (1,0,2,0)",
-             err, tol, err <= tol)
-
-    psi = lambda x: np.array([np.exp(0.3 * x[0]) * np.sin(x[2]) + 0.2 * x[1]],
-                             dtype=complex)
-    gpsi = lambda x: g.at(x) @ psi(x)
-    worst = 0.0
-    for x in points[:3]:
-        lhs = sx.coupled_box(moved, gpsi, x, sx.FDSpec(1e-3, True))
-        rhs = g.at(x) @ sx.coupled_box(conn, psi, x, sx.FDSpec(1e-3, True))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    tol = TOLERANCES["gauge_covariance"]
-    announce("7e", "gauge covariance of the coupled operator",
-             worst, tol, worst <= tol)
+    run_suite("7a/b", "verify-selfdual", 107,
+              ["selfdual:flagship-u1", "star_involution"])
+    run_suite("7c", "verify-gauge", 107, ["gauge_invariance:flagship-u1"])
+    run_suite("7d/e", "verify-coupled-box", 107,
+              ["coupled_box:hand-value", "gauge_covariance"])
 
 
 def test_criterion_08_penrose_avatar():
-    a = np.array([1, 0, 1j, 0])
-    b = np.array([1j, 0, 1, 0])
-    state = sx.elementary_state(a, b)
-    value = sx.contour_transform(state, sx.Frame(E[0], E[2]),
-                                 sx.QuadratureSpec(64))
-    err = abs(value - (-2j * np.pi))
-    tol = TOLERANCES["penrose_value"]
-    announce("8a", "elementary state value -2 pi i", err, tol, err <= tol)
-
-    rng = np.random.default_rng(108)
-    base = sx.Frame(E[0], E[1] + E[2])
-    q = sx.QuadratureSpec(128)
-    ratios = []
-    while len(ratios) < 10:
-        fr = sx.Frame(base.u + 0.2 * rng.normal(size=4),
-                      base.v + 0.2 * rng.normal(size=4))
-        if not sx.pole_safety(state, fr).ok:
-            continue
-        ratios.append(sx.contour_transform(state, fr, q)
-                      * sx.wedge_pairing(a, b, fr))
-    ratios = np.array(ratios)
-    spread = float(np.max(np.abs(ratios - ratios.mean())) / abs(ratios.mean()))
-    tol = TOLERANCES["penrose_ratio_spread"]
-    announce("8b", "ratio constancy over 10 pole-safe frames",
-             spread, tol, spread < tol)
-
-    phi = sx.contour_chart_field(state, q)
-    fd = sx.FDSpec(1e-3, True)
-    X0 = np.array([[0.0, 0.0], [1.0, 0.0]])
-    worst = 0.0
-    for _ in range(5):
-        X = X0 + 0.1 * rng.normal(size=(2, 2))
-        worst = max(worst,
-                    abs(sx.john_operator(lambda Y: phi(Y).real, X, fd)),
-                    abs(sx.john_operator(lambda Y: phi(Y).imag, X, fd)))
-    tol = TOLERANCES["penrose_john"]
-    announce("8c", "John residual of the elementary-state chart field",
-             worst, tol, worst <= tol)
+    run_suite(8, "penrose-elementary", 108,
+              ["penrose_value", "penrose_ratio_spread", "penrose_john"],
+              nodes=128)
 
 
 def test_criterion_09_geometry():
-    rng = np.random.default_rng(109)
-    tol = TOLERANCES["geometry_roundtrip"]
-    worst = 0.0
-    orientation_ok = True
-    count = 0
-    while count < 100:
-        z = sx.ComplexProjectivePoint(rng.normal(size=4)
-                                      + 1j * rng.normal(size=4))
-        if z.is_real(1e-6):
-            continue
-        count += 1
-        gp = sx.mu_inverse(z)
-        back = sx.mu_restrict(gp)
-        worst = max(worst, 1.0 - abs(complex(np.conj(z.rep) @ back.rep)))
-        gp2 = sx.mu_inverse(back)
-        p = sx.plucker_embed(gp.plane).as_array()
-        p2 = sx.plucker_embed(gp2.plane).as_array()
-        p, p2 = p / np.linalg.norm(p), p2 / np.linalg.norm(p2)
-        worst = max(worst, min(np.linalg.norm(p - p2), np.linalg.norm(p + p2)))
-
-        lam = rng.normal() + 1j * rng.normal()
-        w = sx.ComplexProjectivePoint(lam * z.rep)
-        s_scale = sx.pi_project(z).orientation_sign(sx.pi_project(w))
-        s_conj = sx.pi_project(z).orientation_sign(sx.pi_project(z.conj()))
-        orientation_ok = orientation_ok and s_scale > 0 and s_conj < 0
-    announce("9a", "mu round trips on 100 seeded points", worst, tol,
-             worst <= tol)
-    announce("9b", "pi orientation under rescaling/conjugation",
-             0.0 if orientation_ok else 1.0, 0.0, orientation_ok)
+    run_suite(9, "geometry-roundtrip", 109,
+              ["geometry_roundtrip", "geometry_roundtrip:orientation"])
 
 
 def test_criterion_10_coordinate_consistency():
@@ -259,13 +116,14 @@ def test_criterion_10_coordinate_consistency():
 
     fd = sx.FDSpec(1e-3, richardson=True)
     rng = np.random.default_rng(110)
-    worst = 0.0
+    errors = []
     for _ in range(10):
         X = 0.6 * rng.normal(size=(2, 2))
         lhs = sx.john_operator(phi, X, fd)
         rhs = 0.25 * sx.box_diag(lambda x: phi(sx.diag_to_chart(x)),
                                  sx.chart_to_diag(X), fd)
-        worst = max(worst, abs(lhs - rhs))
+        errors.append(abs(lhs - rhs))
+    worst = worst_residual(errors)
     tol = TOLERANCES["coordinate_consistency"]
     announce(10, "John operator equals quarter of the diagonal operator",
              worst, tol, worst <= tol)

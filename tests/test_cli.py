@@ -1,9 +1,11 @@
+import argparse
+import inspect
 import json
 import math
 
 import pytest
 
-from splitxray import cli, operators, xray
+from splitxray import cli, operators, penrose, xray
 from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
 from splitxray.defaults import DEFAULTS, TOLERANCES
 
@@ -100,13 +102,17 @@ def test_config_file_merging_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7, "nodes": 32,
                                "tolerances": {"geometry_roundtrip": 1e-6}}))
-    main(["geometry-roundtrip", "--config", str(cfg), "--seed", "8"])
+    main(["geometry-roundtrip", "--config", str(cfg), "--seed", "8",
+          "--richardson", "off", "--state-a", "1,0,1j,0",
+          "--tolerances", '{"john": 1e-5}'])
     payload = json.loads(capsys.readouterr().out)
     env = payload["environment"]
     assert env["seed"] == 8          # flag beats file
     assert env["nodes"] == 32        # file beats default
-    assert env["tolerances"]["geometry_roundtrip"] == 1e-6
-    assert env["tolerances"]["john"] == TOLERANCES["john"]
+    assert env["richardson"] is False
+    assert env["state_a"] == ["1", "0", "1j", "0"]
+    assert env["tolerances"] == {**TOLERANCES, "geometry_roundtrip": 1e-6,
+                                 "john": 1e-5}
 
 
 def test_output_file_and_csv_format(tmp_path, capsys):
@@ -154,6 +160,35 @@ def test_defaults_table_is_consistent():
     assert DEFAULTS["tolerances"] == TOLERANCES
     assert DEFAULTS["nodes"] == 64 and DEFAULTS["nodes_john"] == 128
     assert DEFAULTS["fd_step"] == 1e-3 and DEFAULTS["richardson"] is True
+    assert set(CONFIG_SCHEMA["properties"]) == {*DEFAULTS, "command",
+                                                "output", "format"}
+    assert xray.QuadratureSpec().n_nodes == DEFAULTS["nodes"]
+    assert operators.FDSpec() == operators.FDSpec(DEFAULTS["fd_step"],
+                                                  DEFAULTS["richardson"])
+    margin = inspect.signature(penrose.pole_safety).parameters["margin"]
+    assert margin.default == DEFAULTS["pole_margin"]
+
+
+def test_every_config_key_is_a_flag_of_every_subcommand():
+    expected = {"--config"} | {"--" + key.replace("_", "-")
+                               for key in CONFIG_SCHEMA["properties"]
+                               if key != "command"}
+    assert len(expected) == 17
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.SUITES)
+    for p in sub.choices.values():
+        assert {o for a in p._actions for o in a.option_strings
+                if o.startswith("--")} == expected | {"--help"}
+
+
+@pytest.mark.parametrize("flag, value", [("--tolerances", '{"john": 1e-5'),
+                                         ("--richardson", "yes")])
+def test_unparsable_flag_exits_2(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-selfdual", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_nan_residual_after_the_first_fails_its_check(monkeypatch):

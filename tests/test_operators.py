@@ -36,6 +36,17 @@ def test_john_annihilates_flagship_transform():
     assert abs(value) < 1e-6
 
 
+def test_john_of_complex_field_is_john_of_real_and_imaginary_parts():
+    # the stencils are linear, so one complex evaluation replaces two real ones
+    phi = lambda X: (np.exp((0.3 + 0.8j) * X[0, 0] * X[1, 1])
+                     / (2.0 + 1j * X[0, 1] + X[1, 0] ** 2))
+    for X in 0.5 * np.random.default_rng(3).normal(size=(5, 2, 2)):
+        value = john_operator(phi, X, FD)
+        parts = (john_operator(lambda Y: phi(Y).real, X, FD)
+                 + 1j * john_operator(lambda Y: phi(Y).imag, X, FD))
+        assert abs(value) > 0.1 and abs(value - parts) <= 1e-12 * abs(value)
+
+
 # ---- coordinate change ---------------------------------------------------------
 
 def test_chart_diag_zero_maps_to_zero():
