@@ -29,27 +29,32 @@ class HomogeneousFunction:
     raise on the origin.  The stored degree is exact: eval(t*x) equals
     t**degree * eval(x) for every nonzero real t, which restricts radial
     factors to even powers of |x|.
+
+    A radial factor needs |x|^2 anyway, so it refuses the origin itself
+    and a function with one (origin_in_value) skips the separate test.
     """
 
-    __slots__ = ("degree", "label", "_value", "_grad")
+    __slots__ = ("degree", "label", "_value", "_grad", "_origin_in_value")
 
-    def __init__(self, degree, value: Callable, grad: Callable, label="f"):
+    def __init__(self, degree, value: Callable, grad: Callable, label="f",
+                 origin_in_value=False):
         self.degree = int(degree)
         self.label = label
         self._value = value
         self._grad = grad
+        self._origin_in_value = origin_in_value
 
     @staticmethod
-    def _check_points(x):
+    def _check_points(x, origin=True):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != 4:
             raise ValueError("points must have a trailing axis of length 4")
-        if np.any(np.einsum("...i,...i->...", x, x) == 0.0):
-            raise ValueError("homogeneous functions are undefined at the origin")
+        if origin:
+            _refuse_origin(np.einsum("...i,...i->...", x, x))
         return x
 
     def __call__(self, x):
-        return self._value(self._check_points(x))
+        return self._value(self._check_points(x, not self._origin_in_value))
 
     def grad(self, x):
         return self._grad(self._check_points(x))
@@ -80,13 +85,14 @@ class HomogeneousFunction:
 
         def value(x):
             r2 = np.einsum("...i,...i->...", x, x)
+            _refuse_origin(r2)
             return r2 ** half
 
         def grad(x):
             r2 = np.einsum("...i,...i->...", x, x)
             return p * (r2 ** (half - 1))[..., None] * x
 
-        return cls(p, value, grad, label or f"|x|^{p}")
+        return cls(p, value, grad, label or f"|x|^{p}", origin_in_value=True)
 
     @classmethod
     def zero(cls, degree=-2):
@@ -108,14 +114,15 @@ class HomogeneousFunction:
                 return (f._grad(x) * g._value(x)[..., None]
                         + g._grad(x) * f._value(x)[..., None])
 
-            return HomogeneousFunction(f.degree + g.degree, value, grad,
-                                       f"{f.label}*{g.label}")
+            return HomogeneousFunction(
+                f.degree + g.degree, value, grad, f"{f.label}*{g.label}",
+                f._origin_in_value or g._origin_in_value)
         c = other
         return HomogeneousFunction(
             self.degree,
             lambda x, f=self._value: c * f(x),
             lambda x, g=self._grad: c * g(x),
-            f"{c}*{self.label}")
+            f"{c}*{self.label}", self._origin_in_value)
 
     __rmul__ = __mul__
 
@@ -129,7 +136,7 @@ class HomogeneousFunction:
             self.degree,
             lambda x: f._value(x) + g._value(x),
             lambda x: f._grad(x) + g._grad(x),
-            f"{f.label}+{g.label}")
+            f"{f.label}+{g.label}", f._origin_in_value or g._origin_in_value)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -154,6 +161,17 @@ class HomogeneousFunction:
 
         return HomogeneousFunction(self.degree, value, grad,
                                    label or f"{self.label}.g")
+
+    def with_label(self, label):
+        """The same function under another label."""
+        return HomogeneousFunction(self.degree, self._value, self._grad, label,
+                                   self._origin_in_value)
+
+
+def _refuse_origin(r2):
+    """Raise if any |x|^2 is zero."""
+    if np.any(r2 == 0.0):
+        raise ValueError("homogeneous functions are undefined at the origin")
 
 
 @dataclass(frozen=True)
@@ -240,8 +258,10 @@ def harmonic_basis(k):
             for v in vecs]
 
 
-def basis_to_degree_minus_2(h: HarmonicPolynomial) -> HomogeneousFunction:
-    """H(x) |x|^(-k-2): the degree -2 homogeneous extension of H.
+def basis_to_degree_minus_2(h: HarmonicPolynomial,
+                            label=None) -> HomogeneousFunction:
+    """H(x) |x|^(-k-2): the degree -2 homogeneous extension of H, labeled
+    `label` (default H{k}*|x|^{-k-2}).
 
     Requires even k; for odd k the product is odd under x -> -x and does
     not define a function of lines.
@@ -249,8 +269,9 @@ def basis_to_degree_minus_2(h: HarmonicPolynomial) -> HomogeneousFunction:
     if h.degree % 2 != 0:
         raise ValueError(
             "odd harmonic degree: H(x)|x|^(-k-2) changes sign under x -> -x")
-    return (HomogeneousFunction.from_poly(h.poly, f"H{h.degree}")
-            * HomogeneousFunction.radial_power(-h.degree - 2))
+    f = (HomogeneousFunction.from_poly(h.poly, f"H{h.degree}")
+         * HomogeneousFunction.radial_power(-h.degree - 2))
+    return f if label is None else f.with_label(label)
 
 
 @dataclass(frozen=True)

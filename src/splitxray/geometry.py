@@ -22,7 +22,24 @@ PROJECTIVE_TOL = 1e-10
 # product of the two, the norm of its Pluecker vector, is below the smallest
 # normal float: its 2x2 minors would underflow.
 DEGENERACY_RTOL = 1e-8
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
+
+
+def check_frames(rows):
+    """Raise on the first degenerate frame of a (..., 2, 4) stack of rows
+    (u, v); return the stack.
+
+    One stacked SVD gives every frame's singular values; the rule is
+    DEGENERACY_RTOL's, and Frame applies it through this function.
+    """
+    s = np.linalg.svd(rows, compute_uv=False)
+    # one frame gives Python floats and a bool, which skip the array overhead
+    s0, s1 = s.tolist() if s.ndim == 1 else s.T
+    bad = (s1 <= DEGENERACY_RTOL * s0) | (s0 * s1 < _TINY)
+    if bad is not False and np.any(bad):
+        s0, s1 = s.reshape(-1, 2)[np.flatnonzero(np.transpose(bad))[0]]
+        raise ValueError(f"degenerate frame: singular values {s0:.3e}, {s1:.3e}")
+    return rows
 
 
 def _readonly(a):
@@ -103,10 +120,7 @@ class Frame:
         v = np.asarray(v, dtype=float)
         if u.shape != (4,) or v.shape != (4,):
             raise ValueError("frame vectors must be real 4-vectors")
-        s = np.linalg.svd(np.vstack([u, v]), compute_uv=False)
-        if s[1] <= DEGENERACY_RTOL * s[0] or s[0] * s[1] < _TINY:
-            raise ValueError(
-                f"degenerate frame: singular values {s[0]:.3e}, {s[1]:.3e}")
+        check_frames(np.vstack([u, v]))
         self.u = _readonly(u)
         self.v = _readonly(v)
 
@@ -194,13 +208,31 @@ def plucker_embed(f: Frame) -> PlueckerPoint:
     )
 
 
+def _chart_rows(X):
+    """Rows (1, 0, X11, X12) and (0, 1, X21, X22) for chart points of shape
+    (..., 2, 2), as an array of shape (..., 2, 4)."""
+    rows = np.zeros(X.shape[:-2] + (2, 4))
+    rows[..., 0, 0] = 1.0
+    rows[..., 1, 1] = 1.0
+    rows[..., 2:] = X
+    return rows
+
+
 def plane_from_chart(X) -> Frame:
     """Frame ((1,0,X11,X12), (0,1,X21,X22)) of the affine chart p12 != 0."""
     X = np.asarray(X, dtype=float)
     if X.shape != (2, 2):
         raise ValueError("chart coordinate must be a 2x2 matrix")
-    return Frame(np.array([1.0, 0.0, X[0, 0], X[0, 1]]),
-                 np.array([0.0, 1.0, X[1, 0], X[1, 1]]))
+    return Frame(*_chart_rows(X))
+
+
+def chart_frame_rows(X):
+    """The rows of plane_from_chart for a (..., 2, 2) stack of chart points,
+    shape (..., 2, 4), checked by check_frames."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[-2:] != (2, 2):
+        raise ValueError("chart coordinates must have trailing shape (2, 2)")
+    return check_frames(_chart_rows(X))
 
 
 def chart_from_plane(f: Frame):

@@ -142,9 +142,7 @@ def _labeled_basis(max_degree):
     out = []
     for k in range(0, max_degree + 1, 2):
         for i, h in enumerate(harmonic_basis(k)):
-            f = basis_to_degree_minus_2(h)
-            f.label = f"deg{k}[{i}]"
-            out.append((k, f))
+            out.append((k, basis_to_degree_minus_2(h, label=f"deg{k}[{i}]")))
     return out
 
 

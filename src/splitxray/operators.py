@@ -53,6 +53,11 @@ class FDSpec:
 class ChartField:
     """A scalar (or complex) field on the 2x2 affine chart.
 
+    With `stacked`, eval takes a stack of chart points of shape
+    (..., 2, 2) and returns one value per point, shape (...); the stencils
+    below then evaluate all their points in one call.  Without it eval
+    takes one 2x2 point and is called once per point.
+
     `partials`, when given, maps X to the 2x2 array of first partial
     derivatives and is expected to agree with central differences to
     O(h^2); see partials_residual.
@@ -60,9 +65,58 @@ class ChartField:
 
     eval: Callable
     partials: Optional[Callable] = None
+    stacked: bool = False
 
     def __call__(self, X):
         return self.eval(np.asarray(X, dtype=float))
+
+
+def _evaluate(phi, points):
+    """phi at each point of an (m, 2, 2) stack, as an array of leading
+    length m.
+
+    A stacked ChartField takes the whole stack at once.  Any other callable,
+    a ChartField of one point included, is called point by point, so a
+    function written for one 2x2 array never sees a stack.
+    """
+    if isinstance(phi, ChartField) and phi.stacked:
+        values = np.asarray(phi(points))
+        if values.shape[:1] != points.shape[:1]:
+            raise ValueError(f"stacked field returned shape {values.shape} "
+                             f"for {len(points)} chart points")
+        return values
+    return np.array([phi(X) for X in points])
+
+
+def _stencil(phi, X, offsets, fd: FDSpec):
+    """(steps, values): phi at X + h * offset for each step h of fd (h, then
+    h/2 with Richardson) and each offset, in one evaluation; values has
+    shape (len(steps), len(offsets), ...)."""
+    X = np.asarray(X, dtype=float)
+    steps = (fd.h, fd.h / 2.0) if fd.richardson else (fd.h,)
+    points = np.stack([X + h * offsets for h in steps])
+    values = _evaluate(phi, points.reshape(-1, 2, 2))
+    return steps, values.reshape(points.shape[:2] + values.shape[1:])
+
+
+def _extrapolate(per_step):
+    """The value at step h, or with Richardson (4 d(h/2) - d(h)) / 3, which
+    cancels the leading error term."""
+    if len(per_step) == 1:
+        return per_step[0]
+    return (4.0 * per_step[1] - per_step[0]) / 3.0
+
+
+_UNITS = np.array([_E11, _E12, _E21, _E22])
+# X + h e and X - h e for each unit e, in the order of _UNITS
+_GRADIENT_OFFSETS = np.stack([_UNITS, -_UNITS], axis=1).reshape(-1, 2, 2)
+
+
+def _gradient(phi, X, fd: FDSpec):
+    """Central differences along E11, E12, E21, E22, shape (4, ...)."""
+    steps, v = _stencil(phi, X, _GRADIENT_OFFSETS, fd)
+    return _extrapolate([(v[i, 0::2] - v[i, 1::2]) / (2.0 * h)
+                         for i, h in enumerate(steps)])
 
 
 def partials_residual(field: ChartField, X, fd: FDSpec = FDSpec()):
@@ -71,46 +125,33 @@ def partials_residual(field: ChartField, X, fd: FDSpec = FDSpec()):
         raise ValueError("field declares no analytic partials")
     X = np.asarray(X, dtype=float)
     analytic = np.asarray(field.partials(X))
-    units = (_E11, _E12, _E21, _E22)
-    return worst_residual(abs(a - _first_diff(field, X, e, fd))
-                          for a, e in zip(analytic.ravel(), units))
+    numeric = _gradient(field, X, fd)
+    return worst_residual(abs(a - d) for a, d in zip(analytic.ravel(), numeric))
 
 
-def _first_diff_step(phi, X, direction, h):
-    return (phi(X + h * direction) - phi(X - h * direction)) / (2.0 * h)
+# The 4-point cross stencil of the mixed second partial along (da, db) has
+# the points X + h (da + db), X + h (da - db), X - h (da - db) and
+# X - h (da + db); John's operator takes it along (E11, E22) and (E12, E21).
+_JOHN_OFFSETS = np.array([sign * (da + flip * db)
+                          for da, db in ((_E11, _E22), (_E12, _E21))
+                          for sign, flip in ((1, 1), (1, -1), (-1, -1), (-1, 1))])
 
 
-def _first_diff(phi, X, direction, fd: FDSpec):
-    d = _first_diff_step(phi, X, direction, fd.h)
-    if not fd.richardson:
-        return d
-    d2 = _first_diff_step(phi, X, direction, fd.h / 2.0)
-    return (4.0 * d2 - d) / 3.0
-
-
-def _mixed_step(phi, X, da, db, h):
-    """4-point cross stencil for the mixed second partial along da, db."""
-    return (phi(X + h * (da + db)) - phi(X + h * (da - db))
-            - phi(X - h * (da - db)) + phi(X - h * (da + db))
-            ) / (4.0 * h * h)
+def _mixed(v, h):
+    return (v[0] - v[1] - v[2] + v[3]) / (4.0 * h * h)
 
 
 def john_operator(phi, X, fd: FDSpec = FDSpec()):
     """d2 phi / dX11 dX22 - d2 phi / dX12 dX21 by central differences.
 
-    phi may be a ChartField or any callable of a 2x2 array.  With
+    phi may be a ChartField or any callable of a 2x2 array; a stacked
+    ChartField evaluates all stencil points in one call.  With
     fd.richardson the stencil is evaluated at h and h/2 and combined to
     cancel the leading error term.
     """
-    X = np.asarray(X, dtype=float)
-
-    def step(h):
-        return _mixed_step(phi, X, _E11, _E22, h) - _mixed_step(phi, X, _E12, _E21, h)
-
-    v = step(fd.h)
-    if not fd.richardson:
-        return v
-    return (4.0 * step(fd.h / 2.0) - v) / 3.0
+    steps, v = _stencil(phi, X, _JOHN_OFFSETS, fd)
+    return _extrapolate([_mixed(v[i, :4], h) - _mixed(v[i, 4:], h)
+                         for i, h in enumerate(steps)])
 
 
 # Linear identification between the chart and the diagonal coordinates.
@@ -209,14 +250,12 @@ def dn_residual(m, X, fd: FDSpec = FDSpec()):
 
     For components phi_0..phi_n the transform identities give
     d phi_k / dX_2j = d phi_{k+1} / dX_1j for j in {1,2} and k < n; the
-    returned value is the max absolute deviation over all (k, j).
+    returned value is the max absolute deviation over all (k, j).  The
+    moment vector is evaluated once per stencil point.
     """
     if m.n == 0:
         raise ValueError("no consistency relations at n = 0; use john_operator")
-    X = np.asarray(X, dtype=float)
-    row1 = (_E11, _E12)
-    row2 = (_E21, _E22)
-    return worst_residual(
-        abs(_first_diff(m.components[k], X, row2[j], fd)
-            - _first_diff(m.components[k + 1], X, row1[j], fd))
-        for k in range(m.n) for j in range(2))
+    d = _gradient(m.vector, X, fd)
+    # rows of d: E11, E12 (row 1 of the chart), E21, E22 (row 2)
+    return worst_residual(abs(d[2 + j, k] - d[j, k + 1])
+                          for k in range(m.n) for j in range(2))

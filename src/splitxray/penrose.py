@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULTS
-from .geometry import Frame, plane_from_chart
+from .geometry import Frame, chart_frame_rows
 from .operators import ChartField
 from .xray import QuadratureSpec, circle_integral, circle_points
 
@@ -102,9 +102,9 @@ class PoleSafetyReport:
         return all(m > self.margin for m in self.minima)
 
 
-def _circle_coefficients(a, frame: Frame):
+def _circle_coefficients(a, u, v):
     """(alpha, beta) with A . (u cos + v sin) = alpha cos + beta sin."""
-    return complex(np.dot(frame.u, a)), complex(np.dot(frame.v, a))
+    return complex(np.dot(u, a)), complex(np.dot(v, a))
 
 
 def _pole_geometry(alpha, beta):
@@ -132,13 +132,25 @@ def _pole_geometry(alpha, beta):
     return minimum, (math.inf if ratio == 1.0 else 0.5 * math.atanh(ratio))
 
 
-def pole_safety(f: TwistorRationalFunction, frame: Frame,
-                margin=DEFAULTS["pole_margin"]) -> PoleSafetyReport:
-    """Exact per-factor pole distances and strip half-widths (closed form)."""
-    geometry = [_pole_geometry(*_circle_coefficients(a, frame))
+def _pole_report(f: TwistorRationalFunction, u, v, margin) -> PoleSafetyReport:
+    geometry = [_pole_geometry(*_circle_coefficients(a, u, v))
                 for a, _ in f.factors]
     return PoleSafetyReport(tuple(m for m, _ in geometry), margin,
                             tuple(d for _, d in geometry))
+
+
+def pole_safety(f: TwistorRationalFunction, frame: Frame,
+                margin=DEFAULTS["pole_margin"]) -> PoleSafetyReport:
+    """Exact per-factor pole distances and strip half-widths (closed form)."""
+    return _pole_report(f, frame.u, frame.v, margin)
+
+
+def _refuse_unsafe(report: PoleSafetyReport):
+    if not report.ok:
+        k = int(np.argmin(report.minima))
+        raise PoleProximityError(
+            f"factor {k} passes within {report.minima[k]:.3e} of the "
+            f"integration circle (margin {report.margin:.3e})")
 
 
 def contour_transform(f: TwistorRationalFunction, frame: Frame,
@@ -152,24 +164,29 @@ def contour_transform(f: TwistorRationalFunction, frame: Frame,
     if f.homogeneity != -2:
         raise ValueError(
             f"contour transform needs homogeneity -2, got {f.homogeneity}")
-    report = pole_safety(f, frame, margin)
-    if not report.ok:
-        k = int(np.argmin(report.minima))
-        raise PoleProximityError(
-            f"factor {k} passes within {report.minima[k]:.3e} of the "
-            f"integration circle (margin {margin:.3e})")
+    _refuse_unsafe(pole_safety(f, frame, margin))
     return circle_integral(f(circle_points(frame, q)), q)
 
 
 def contour_chart_field(f: TwistorRationalFunction,
                         q: QuadratureSpec = QuadratureSpec(),
                         margin=DEFAULTS["pole_margin"]) -> ChartField:
-    """Chart restriction of the contour transform (complex-valued)."""
+    """Chart restriction of the contour transform (complex-valued), as a
+    stacked ChartField: chart points of shape (..., 2, 2) give values of
+    shape (...).  Every point's circle is checked for poles, as in
+    contour_transform, before f is evaluated on all of them at once.
+    """
+    if f.homogeneity != -2:
+        raise ValueError(
+            f"contour transform needs homogeneity -2, got {f.homogeneity}")
 
     def phi(X):
-        return contour_transform(f, plane_from_chart(X), q, margin)
+        rows = chart_frame_rows(X)
+        for u, v in rows.reshape(-1, 2, 4):
+            _refuse_unsafe(_pole_report(f, u, v, margin))
+        return circle_integral(f(circle_points(rows, q)), q)
 
-    return ChartField(phi)
+    return ChartField(phi, stacked=True)
 
 
 def wedge_pairing(a, b, frame: Frame):
@@ -195,7 +212,7 @@ def factor_orientation(f: TwistorRationalFunction, frame: Frame):
     """
     signs = []
     for a, _ in f.factors:
-        alpha, beta = _circle_coefficients(a, frame)
+        alpha, beta = _circle_coefficients(a, frame.u, frame.v)
         signs.append(1 if (np.conj(alpha) * beta).imag > 0 else -1)
     return tuple(signs)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .fields import HomogeneousFunction, WeightedField
-from .geometry import Frame, plane_from_chart
+from .geometry import Frame, chart_frame_rows, check_frames
 from .operators import ChartField, worst_residual
 
 
@@ -53,13 +53,19 @@ class QuadratureSpec:
         return np.arange(self.n_nodes) * (2.0 * np.pi / self.n_nodes)
 
 
-def circle_points(frame: Frame, q: QuadratureSpec):
-    """Quadrature points u cos(theta_j) + v sin(theta_j), shape (n_nodes, 4).
+def circle_points(frame, q: QuadratureSpec):
+    """Quadrature points u cos(theta_j) + v sin(theta_j).
 
-    The same elementwise products and sum as np.outer(cos, u) +
-    np.outer(sin, v), so the points equal that formula's bit for bit.
+    `frame` is a Frame, giving shape (n_nodes, 4), or a (..., 2, 4) stack of
+    frame rows (u, v), giving (..., n_nodes, 4).  Either way the points are
+    the same elementwise products and sum as np.outer(cos, u) +
+    np.outer(sin, v), so they equal that formula's bit for bit.
     """
-    return q.cos[:, None] * frame.u + q.sin[:, None] * frame.v
+    if isinstance(frame, Frame):
+        u, v = frame.u, frame.v
+    else:
+        u, v = frame[..., 0, None, :], frame[..., 1, None, :]
+    return q.cos[:, None] * u + q.sin[:, None] * v
 
 
 def circle_integral(values, q: QuadratureSpec):
@@ -88,7 +94,9 @@ def xray_weighted_field(f: HomogeneousFunction,
 
 def xray_chart_field(f: HomogeneousFunction,
                      q: QuadratureSpec = QuadratureSpec()) -> ChartField:
-    """The transform restricted to the affine chart, as a ChartField.
+    """The transform restricted to the affine chart, as a stacked ChartField:
+    chart points of shape (..., 2, 2) give values of shape (...), from one
+    evaluation of f on all their circles.
 
     The result solves the John equation; see operators.john_operator.
     """
@@ -96,9 +104,9 @@ def xray_chart_field(f: HomogeneousFunction,
         raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
 
     def phi(X):
-        return xray_transform(f, plane_from_chart(X), q)
+        return circle_integral(f(circle_points(chart_frame_rows(X), q)), q)
 
-    return ChartField(phi)
+    return ChartField(phi, stacked=True)
 
 
 _PARITY_PROBE = np.array([0.31, 0.67, -0.44, 0.52])
@@ -117,12 +125,14 @@ def _check_moment_input(f: HomogeneousFunction, n):
         raise ValueError(f"input does not have parity (-1)^{n} under x -> -x")
 
 
-def _moments(f: HomogeneousFunction, frame: Frame, n, q: QuadratureSpec):
-    """The moment vector of an input already checked by _check_moment_input."""
+def _moments(f: HomogeneousFunction, frame, n, q: QuadratureSpec):
+    """The moment vector of an input already checked by _check_moment_input,
+    shape (..., n + 1) for a frame or a stack of frame rows (see
+    circle_points)."""
     c, s = q.cos, q.sin
     vals = f(circle_points(frame, q))
-    return np.array([circle_integral(vals * c ** (n - k) * s ** k, q)
-                     for k in range(n + 1)])
+    return np.stack([circle_integral(vals * c ** (n - k) * s ** k, q)
+                     for k in range(n + 1)], axis=-1)
 
 
 def xray_moments(f: HomogeneousFunction, frame: Frame, n,
@@ -140,40 +150,54 @@ def xray_moments(f: HomogeneousFunction, frame: Frame, n,
 
 @dataclass(frozen=True)
 class MomentField:
-    """Chart restriction of the moment vector: n+1 scalar chart functions."""
+    """Chart restriction of the moment vector.
+
+    `vector` is a stacked ChartField whose values have a trailing axis of
+    length n+1; `components` are its n+1 scalar chart functions.
+    """
 
     n: int
-    components: tuple
+    vector: ChartField
+
+    @property
+    def components(self):
+        return tuple(ChartField(lambda X, k=k: np.take(self.vector(X), k, axis=-1),
+                                stacked=True)
+                     for k in range(self.n + 1))
 
 
 def moment_chart_field(f: HomogeneousFunction, n,
                        q: QuadratureSpec = QuadratureSpec()) -> MomentField:
-    """Moments composed with plane_from_chart, one chart function per k.
+    """Moments composed with plane_from_chart: all n+1 of them from one
+    evaluation of f per circle, for chart points of shape (..., 2, 2).
 
     The input is checked once, here, not at every chart point.
     """
     n = int(n)
     _check_moment_input(f, n)
-
-    def component(k):
-        def phi(X):
-            return _moments(f, plane_from_chart(X), n, q)[k]
-        return phi
-
-    return MomentField(n=n, components=tuple(component(k) for k in range(n + 1)))
+    return MomentField(n=n, vector=ChartField(
+        lambda X: _moments(f, chart_frame_rows(X), n, q), stacked=True))
 
 
 def equivariance_residual(f: HomogeneousFunction, g, frames,
                           q: QuadratureSpec = QuadratureSpec()):
-    """Max over frames of |R(f o g)(u, v) - (Rf)(g u, g v)|."""
+    """Max over frames of |R(f o g)(u, v) - (Rf)(g u, g v)|.
+
+    Each side integrates all frames in one evaluation of its integrand.
+    """
+    if f.degree != -2:
+        raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4) or np.linalg.det(g) == 0.0:
         raise ValueError("g must be an invertible 4x4 matrix")
     fg = f.compose_linear(g)
-    return worst_residual(
-        abs(xray_transform(fg, frame, q)
-            - xray_transform(f, frame.ambient_transform(g), q))
-        for frame in frames)
+    rows = np.array([[frame.u, frame.v] for frame in frames]).reshape(-1, 2, 4)
+    # one matrix-vector product per vector, as in Frame.ambient_transform, so
+    # the moved frames equal its frames bit for bit
+    moved = np.array([[g @ u, g @ v] for u, v in rows]).reshape(-1, 2, 4)
+    check_frames(moved)
+    return worst_residual(np.abs(circle_integral(fg(circle_points(rows, q)), q)
+                                 - circle_integral(f(circle_points(moved, q)), q)))
 
 
 def random_gl2(rng, smin=0.5, smax=2.0):

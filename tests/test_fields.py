@@ -261,3 +261,35 @@ def test_basis_csv_round_trip(tmp_path):
         assert_allclose(p(x), float(h.poly(x)), rtol=1e-12)
     header = path.read_text().splitlines()[0]
     assert header == "index,e1,e2,e3,e4,coeff"
+
+
+def test_radial_factor_refuses_the_origin_for_products_and_sums():
+    f = basis_to_degree_minus_2(harmonic_basis(2)[3])
+    g = f + 2.0 * basis_to_degree_minus_2(harmonic_basis(2)[5])
+    poly = HomogeneousFunction.from_poly(Poly4.monomial((1, 1, 0, 0)))
+    for fn in (f, g, -f, poly, f.compose_linear(2.0 * np.eye(4))):
+        with pytest.raises(ValueError, match="origin"):
+            fn(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
+    # |x|^2 underflows to zero at this point, which is refused like the origin
+    with pytest.raises(ValueError, match="origin"):
+        f(np.array([1e-170, 0.0, 0.0, 0.0]))
+
+
+def test_basis_function_computes_norm_once_per_call(monkeypatch):
+    f = basis_to_degree_minus_2(harmonic_basis(4)[7])
+    x = np.random.default_rng(5).normal(size=(16, 4))
+    expected = f(x)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a: calls.append(a[0]) or einsum(*a))
+    assert np.array_equal(f(x), expected)
+    assert calls == ["...i,...i->..."]
+
+
+def test_basis_label_is_set_at_construction():
+    h = harmonic_basis(2)[4]
+    assert basis_to_degree_minus_2(h).label == "H2*|x|^-4"
+    f = basis_to_degree_minus_2(h, label="deg2[4]")
+    assert f.label == "deg2[4]"
+    x = np.random.default_rng(6).normal(size=(8, 4))
+    assert np.array_equal(f(x), basis_to_degree_minus_2(h)(x))

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from splitxray.geometry import (DEGENERACY_RTOL, ComplexProjectivePoint,
                                 FlagPoint, Frame, GPoint, RealProjectivePoint,
-                                chart_from_plane, incidence, mu_inverse,
-                                mu_restrict, pi_project, plane_from_chart,
-                                plucker_embed)
+                                chart_frame_rows, chart_from_plane, incidence,
+                                mu_inverse, mu_restrict, pi_project,
+                                plane_from_chart, plucker_embed)
 
 E = np.eye(4)
 
@@ -245,3 +245,23 @@ def test_zero_vectors_rejected():
         RealProjectivePoint(np.zeros(4))
     with pytest.raises(ValueError):
         ComplexProjectivePoint(np.zeros(4))
+
+
+def test_stack_with_one_degenerate_chart_frame_raises_as_frame_does():
+    # [I X] has smallest singular value >= 1, so only a huge rank-one X
+    # makes the chart frame degenerate by DEGENERACY_RTOL
+    bad = np.full((2, 2), 1e9)
+    with pytest.raises(ValueError, match="degenerate") as single:
+        plane_from_chart(bad)
+    stack = 0.3 * np.random.default_rng(8).normal(size=(5, 2, 2))
+    stack[3] = bad
+    with pytest.raises(ValueError) as stacked:
+        chart_frame_rows(stack)
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ValueError) as nested:
+        chart_frame_rows(stack.reshape(5, 1, 2, 2))
+    assert str(nested.value) == str(single.value)
+    rows = chart_frame_rows(np.delete(stack, 3, axis=0))
+    for X, (u, v) in zip(np.delete(stack, 3, axis=0), rows):
+        frame = plane_from_chart(X)
+        assert np.array_equal(frame.u, u) and np.array_equal(frame.v, v)

@@ -212,3 +212,10 @@ def test_design_matrix_save_load_round_trip(tmp_path):
     assert loaded.n_nodes == 128 and loaded.seed == 16
     for f, g in zip(loaded.frames, d.frames):
         assert_allclose(f.matrix(), g.matrix())
+
+
+def test_transform_basis_labels_are_given_at_construction():
+    basis = transform_basis(2)
+    labels = ["deg0[0]"] + [f"deg2[{i}]" for i in range(9)]
+    assert [f.label for f in basis] == labels
+    assert design_matrix(basis, sample_frames(12, 1)).basis_ids == labels

@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splitxray.fields import HomogeneousFunction
+from splitxray.fields import (HomogeneousFunction, basis_to_degree_minus_2,
+                              harmonic_basis)
+from splitxray.geometry import plane_from_chart
 from splitxray.instanton import connection_preset, gauge_transform, scalar_phase
+from splitxray.inversion import sample_frames
 from splitxray.operators import (ChartField, FDSpec, box_diag, chart_to_diag,
                                  coupled_box, diag_to_chart, dn_residual,
                                  john_operator, partials_residual,
                                  worst_residual)
+from splitxray.penrose import (contour_chart_field, contour_transform,
+                               elementary_state)
 from splitxray.poly import Poly4
-from splitxray.xray import QuadratureSpec, moment_chart_field, xray_chart_field
+from splitxray.xray import (QuadratureSpec, equivariance_residual,
+                            moment_chart_field, random_sl4, xray_chart_field,
+                            xray_moments, xray_transform)
 
 FD = FDSpec(1e-3, True)
 
@@ -250,3 +257,107 @@ def test_worst_residual_keeps_a_nan_that_comes_late():
     assert np.isnan(worst_residual([1e-9, float("nan"), 2e-9]))
     assert worst_residual(iter([1e-9, 3e-9, 2e-9])) == 3e-9
     assert worst_residual([]) == 0.0
+
+
+# ---- batched stencils against per-point loops ----------------------------------
+# Each reference below evaluates one stencil point at a time through the
+# per-frame transforms, with the stencil arithmetic written out; the batched
+# operators must agree bit for bit.
+
+E11, E12, E21, E22 = (np.eye(4)[i].reshape(2, 2) for i in range(4))
+
+
+def john_by_points(value, X, fd):
+    def step(h):
+        def mixed(da, db):
+            return (value(X + h * (da + db)) - value(X + h * (da - db))
+                    - value(X - h * (da - db)) + value(X - h * (da + db))
+                    ) / (4.0 * h * h)
+        return mixed(E11, E22) - mixed(E12, E21)
+
+    v = step(fd.h)
+    return (4.0 * step(fd.h / 2.0) - v) / 3.0
+
+
+def first_diff_by_points(value, X, e, fd):
+    def step(h):
+        return (value(X + h * e) - value(X - h * e)) / (2.0 * h)
+
+    d = step(fd.h)
+    return (4.0 * step(fd.h / 2.0) - d) / 3.0
+
+
+def test_batched_john_on_xray_field_equals_per_point_loop():
+    q = QuadratureSpec(128)
+    rng = np.random.default_rng(21)
+    for h in harmonic_basis(2)[:4]:
+        f = basis_to_degree_minus_2(h)
+        phi = xray_chart_field(f, q)
+        value = lambda P: xray_transform(f, plane_from_chart(P), q)
+        for X in 0.35 * rng.normal(size=(3, 2, 2)):
+            assert john_operator(phi, X, FD) == john_by_points(value, X, FD)
+
+
+def test_batched_john_on_contour_field_equals_per_point_loop():
+    state = elementary_state([1, 0, 1j, 0], [1j, 0, 1, 0])
+    q = QuadratureSpec(128)
+    phi = contour_chart_field(state, q)
+    value = lambda P: contour_transform(state, plane_from_chart(P), q)
+    rng = np.random.default_rng(22)
+    for dX in 0.1 * rng.normal(size=(5, 2, 2)):
+        X = np.array([[0.0, 0.0], [1.0, 0.0]]) + dX
+        assert john_operator(phi, X, FD) == john_by_points(value, X, FD)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_dn_residual_equals_per_point_loop(n):
+    q = QuadratureSpec(64)
+    rng = np.random.default_rng(23 + n)
+    for h in harmonic_basis(n)[:3]:
+        f = (HomogeneousFunction.from_poly(h.poly)
+             * HomogeneousFunction.radial_power(-2 * n - 2))
+        m = moment_chart_field(f, n, q)
+        for X in 0.35 * rng.normal(size=(3, 2, 2)):
+            def d(k, e):
+                return first_diff_by_points(
+                    lambda P: xray_moments(f, plane_from_chart(P), n, q)[k],
+                    X, e, FD)
+            expected = max(abs(d(k, row2) - d(k + 1, row1))
+                           for k in range(n)
+                           for row1, row2 in ((E11, E21), (E12, E22)))
+            assert dn_residual(m, X, FD) == expected
+
+
+def test_batched_equivariance_equals_per_frame_loop():
+    rng = np.random.default_rng(25)
+    frames = sample_frames(20, 26)
+    q = QuadratureSpec(64)
+    for h in harmonic_basis(2)[:4]:
+        f = basis_to_degree_minus_2(h)
+        g = random_sl4(rng)
+        fg = f.compose_linear(g)
+        expected = max(abs(xray_transform(fg, frame, q)
+                           - xray_transform(f, frame.ambient_transform(g), q))
+                       for frame in frames)
+        assert equivariance_residual(f, g, frames, q) == expected
+
+
+def test_one_point_field_sees_points_and_a_stacked_field_the_stencil():
+    seen = []
+
+    def one(X):
+        seen.append(X.shape)
+        return np.linalg.det(X)
+
+    X = np.array([[0.3, -0.2], [0.1, 0.4]])
+    plain = john_operator(ChartField(one), X, FD)
+    assert seen == [(2, 2)] * 16
+    seen.clear()
+    stacked = john_operator(ChartField(one, stacked=True), X, FD)
+    assert seen == [(16, 2, 2)] and stacked == plain
+
+
+def test_stacked_field_of_the_wrong_shape_is_refused():
+    wrong = ChartField(lambda P: np.zeros(3), stacked=True)
+    with pytest.raises(ValueError, match="16 chart points"):
+        john_operator(wrong, np.zeros((2, 2)), FD)

@@ -278,3 +278,29 @@ def test_factor_validation():
         TwistorRationalFunction(((np.zeros(4), -1),))
     with pytest.raises(ValueError, match="4-vector"):
         TwistorRationalFunction(((np.array([1.0, 2.0]), -1),))
+
+
+def test_contour_stencil_with_one_refused_point_raises():
+    # around this chart point the stencil circles pass 0.999 to 1.0 from the
+    # poles; at a margin between the two some points are refused
+    state = elementary_state(A, B)
+    X = np.array([[0.0, 0.0], [1.0, 0.0]])
+    margin = 0.9992
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    e21 = np.array([[0.0, 0.0], [1.0, 0.0]])
+    contour_transform(state, plane_from_chart(X + 1e-3 * (e12 + e21)),
+                      margin=margin)
+    with pytest.raises(PoleProximityError):
+        contour_transform(state, plane_from_chart(X + 1e-3 * (e12 - e21)),
+                          margin=margin)
+    phi = contour_chart_field(state, QuadratureSpec(64), margin)
+    with pytest.raises(PoleProximityError, match="margin 9.992e-01"):
+        john_operator(phi, X, FDSpec(1e-3, True))
+    # at the default margin the same stencil is accepted
+    assert abs(john_operator(contour_chart_field(state, QuadratureSpec(64)), X,
+                             FDSpec(1e-3, True))) < 1e-6
+
+
+def test_contour_chart_field_checks_homogeneity_when_built():
+    with pytest.raises(ValueError, match="homogeneity -2"):
+        contour_chart_field(TwistorRationalFunction(((A, -3),)))

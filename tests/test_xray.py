@@ -231,3 +231,26 @@ def test_equivariance_seeded_sl4_basis():
 def test_equivariance_rejects_singular():
     with pytest.raises(ValueError, match="invertible"):
         equivariance_residual(INV_SQ, np.zeros((4, 4)), [Frame(E[0], E[1])])
+
+
+def test_circle_points_broadcast_over_stacks_of_frame_rows():
+    q = QuadratureSpec(32)
+    frames = sample_frames(6, 4)
+    rows = np.array([[f.u, f.v] for f in frames]).reshape(2, 3, 2, 4)
+    pts = circle_points(rows, q)
+    assert pts.shape == (2, 3, 32, 4)
+    for i, frame in enumerate(frames):
+        assert np.array_equal(pts.reshape(6, 32, 4)[i], circle_points(frame, q))
+
+
+def test_moment_vector_matches_components_and_xray_moments():
+    f = (HomogeneousFunction.from_poly(Poly4.monomial((2, 0, 0, 0)))
+         * HomogeneousFunction.radial_power(-6))
+    q = QuadratureSpec(32)
+    m = moment_chart_field(f, 2, q)
+    X = 0.3 * np.random.default_rng(9).normal(size=(4, 2, 2))
+    vectors = m.vector(X)
+    assert vectors.shape == (4, 3)
+    for Xi, vec in zip(X, vectors):
+        assert np.array_equal(vec, xray_moments(f, plane_from_chart(Xi), 2, q))
+        assert [c(Xi) for c in m.components] == list(vec)
