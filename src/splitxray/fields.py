@@ -3,10 +3,9 @@ determinant-weighted functions of frames.
 
 A HomogeneousFunction pairs an evaluator with an analytic gradient built by
 product/chain rule over a closed vocabulary: polynomials, even powers of
-|x|, and their sums/products.  Harmonic polynomial bases are generated by
-exact rational nullspace computation of the Laplacian on the monomial
-basis, so basis elements have an identically zero Laplacian coefficient
-table before any floats appear.
+|x|, and their sums/products.  Harmonic polynomial bases are built in
+closed form with exact rational coefficients, so basis elements have an
+identically zero Laplacian coefficient table before any floats appear.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Frame
-from .poly import Poly4, exponents_of_degree
+from .poly import Poly4, exponents_of_degree, frozen
 
 
 class HomogeneousFunction:
@@ -46,11 +45,11 @@ class HomogeneousFunction:
 
     @staticmethod
     def _check_points(x, origin=True):
-        x = np.asarray(x, dtype=float)
+        x = _real_points(x)
         if x.shape[-1] != 4:
             raise ValueError("points must have a trailing axis of length 4")
         if origin:
-            _refuse_origin(np.einsum("...i,...i->...", x, x))
+            _refuse_origin(x)
         return x
 
     def __call__(self, x):
@@ -84,9 +83,7 @@ class HomogeneousFunction:
         half = p // 2
 
         def value(x):
-            r2 = np.einsum("...i,...i->...", x, x)
-            _refuse_origin(r2)
-            return r2 ** half
+            return _refuse_origin(x) ** half
 
         def grad(x):
             r2 = np.einsum("...i,...i->...", x, x)
@@ -168,10 +165,43 @@ class HomogeneousFunction:
                                    self._origin_in_value)
 
 
-def _refuse_origin(r2):
-    """Raise if any |x|^2 is zero."""
-    if np.any(r2 == 0.0):
+def _refuse_origin(x):
+    """|x|^2 of points x; raise if any of it is zero."""
+    r2, origin = _squared_norms(x)
+    if origin:
         raise ValueError("homogeneous functions are undefined at the origin")
+    return r2
+
+
+def _real_points(x):
+    """x as a float array.  Complex points raise instead of being cast,
+    which would drop their imaginary part and evaluate at Re x."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError("complex points are not supported; they wait for the "
+                        "complex-capable transform engine (ROADMAP item 4)")
+    return np.asarray(x, dtype=float)
+
+
+# (points, |x|^2, whether some |x|^2 is zero) of the last frozen point array
+# whose norms were taken; replaced as one tuple.
+_norms = (None, None, False)
+
+
+def _squared_norms(x):
+    """|x|^2 of points x and whether any of it is zero.  A frozen x (see
+    poly.frozen) reuses both from the last call on it, so the radial factors
+    of a design matrix's basis functions share one frame's |x|^2."""
+    global _norms
+    last, r2, origin = _norms
+    if last is x and frozen(x):
+        return r2, origin
+    r2 = np.einsum("...i,...i->...", x, x)
+    origin = bool(np.any(r2 == 0.0))
+    if frozen(x):
+        r2.setflags(write=False)
+        _norms = (x, r2, origin)
+    return r2, origin
 
 
 @dataclass(frozen=True)
@@ -193,69 +223,55 @@ class HarmonicPolynomial:
             raise ValueError("polynomial is not harmonic")
 
     def __call__(self, x):
-        return self.poly(np.asarray(x, dtype=float))
+        return self.poly(_real_points(x))
 
 
-def _rational_nullspace(rows, ncols):
-    """Nullspace basis of an exact matrix (list of Fraction rows)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            vec[pc] = -m[row][free]
-        basis.append(vec)
-    return basis
+def _harmonic_extension(expo):
+    """The unique harmonic polynomial whose one monomial of x1-degree <= 1
+    is x^expo, with coefficient 1, for expo[0] <= 1.
+
+    It is sum_j (-1)^j e1!/(e1+2j)! x1^(e1+2j) L^j(x'^a'), with L the
+    Laplacian in x2..x4 and x'^a' the x2..x4 part of x^expo: the Laplacian
+    of term j in x1 cancels L of term j-1.  Coefficients are Fractions.
+    """
+    term = {tuple(expo): Fraction(1)}
+    d = expo[0]  # the x1-degree of term j, e1 + 2j
+    coeffs = {}
+    while term:
+        coeffs.update(term)
+        # term j+1 = -x1^2 L(term j) / ((d + 1)(d + 2))
+        scale = Fraction(-1, (d + 1) * (d + 2))
+        nxt = {}
+        for e, c in term.items():
+            for i in (1, 2, 3):
+                if e[i] >= 2:
+                    down = list(e)
+                    down[0] += 2
+                    down[i] -= 2
+                    key = tuple(down)
+                    nxt[key] = nxt.get(key, 0) + c * e[i] * (e[i] - 1) * scale
+        term = {e: c for e, c in nxt.items() if c != 0}
+        d += 2
+    return Poly4(coeffs)
 
 
 def harmonic_basis(k):
     """Basis of harmonic homogeneous degree-k polynomials in 4 variables.
 
     Returns (k+1)**2 HarmonicPolynomial values with exact rational
-    coefficients, obtained as the exact nullspace of the Laplacian acting
-    on the degree-k monomial basis.
+    coefficients, one per monomial of x1-degree <= 1 in exponents_of_degree
+    order: the unique harmonic polynomial in which that monomial is the only
+    one of x1-degree <= 1, with coefficient 1 (see _harmonic_extension).
+    These monomials are (k+1)**2, the dimension of the harmonics, and a
+    harmonic polynomial with no such monomial is 0, so this is a basis.
     """
     k = int(k)
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    monos = exponents_of_degree(k)
-    if k < 2:
-        vecs = [[Fraction(int(i == j)) for j in range(len(monos))]
-                for i in range(len(monos))]
-    else:
-        targets = exponents_of_degree(k - 2)
-        tindex = {e: i for i, e in enumerate(targets)}
-        rows = [[Fraction(0)] * len(monos) for _ in targets]
-        for col, expo in enumerate(monos):
-            for i in range(4):
-                e = expo[i]
-                if e < 2:
-                    continue
-                down = list(expo)
-                down[i] -= 2
-                rows[tindex[tuple(down)]][col] += Fraction(e * (e - 1))
-        vecs = _rational_nullspace(rows, len(monos))
-    assert len(vecs) == (k + 1) ** 2
-    return [HarmonicPolynomial(k, Poly4({e: c for e, c in zip(monos, v) if c != 0}))
-            for v in vecs]
+    basis = [HarmonicPolynomial(k, _harmonic_extension(e))
+             for e in exponents_of_degree(k) if e[0] <= 1]
+    assert len(basis) == (k + 1) ** 2
+    return basis
 
 
 def basis_to_degree_minus_2(h: HarmonicPolynomial,

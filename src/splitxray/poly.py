@@ -10,6 +10,12 @@ Evaluation builds a power table x_i^p for p up to the largest exponent by
 repeated multiplication, then forms each monomial from four table lookups;
 no pow is called.  Against a correctly rounded sum the error is a few ulp
 per term times the term's size.
+
+The power table of the last frozen point array (see `frozen`) is kept and
+shared by every Poly4, so the basis functions of a design matrix, evaluated
+in turn on one frame's circle points, build it once per frame; a higher
+degree rebuilds it to the new top.  Table rows do not depend on the top, so
+values are the same bits as from a fresh table.
 """
 
 from __future__ import annotations
@@ -33,6 +39,34 @@ def exponents_of_degree(k):
 def _power_dtype(dtype):
     """dtype of x ** E for points x of this dtype and int exponents E."""
     return np.result_type(dtype, np.intp)
+
+
+def frozen(a):
+    """True when array `a` is read-only and owns its data, so its values
+    cannot change while it stays read-only.
+
+    Only such arrays key a memo, and a memo checks this again at lookup: a
+    writable array can change in place, a read-only view follows its base,
+    and an owning array can be made writable again.
+    """
+    return not a.flags.writeable and a.base is None
+
+
+def _power_table(x, top):
+    """Rows p * 4 + i hold x_i^p for p <= top, by repeated multiplication."""
+    n = x.size // 4
+    table = np.empty((top + 1, 4, n), dtype=_power_dtype(x.dtype))
+    table[0] = 1
+    if top:
+        table[1] = x.reshape(n, 4).T
+    for p in range(2, top + 1):
+        np.multiply(table[p - 1], table[1], out=table[p])
+    return table.reshape(-1, n)
+
+
+# (points, table) of the last frozen point array Poly4 evaluated; replaced
+# as one tuple.
+_powers = (None, None)
 
 
 class Poly4:
@@ -105,20 +139,20 @@ class Poly4:
         """Evaluate at x of shape (..., 4); vectorized.
 
         The powers have the dtype x ** E would give: int, float or
-        complex for int, float or complex x.
+        complex for int, float or complex x.  A frozen x reuses the power
+        table of the last call on it.
         """
+        global _powers
         x = np.asarray(x)
         if x.shape[-1:] != (4,):
             raise ValueError("points must have a trailing axis of length 4")
         rows, top, C = self._arrays()
-        n = x.size // 4
-        table = np.empty((top + 1, 4, n), dtype=_power_dtype(x.dtype))
-        table[0] = 1
-        if top:
-            table[1] = x.reshape(n, 4).T
-        for p in range(2, top + 1):
-            np.multiply(table[p - 1], table[1], out=table[p])
-        mono = np.multiply.reduce(table.reshape(-1, n)[rows], axis=1)
+        last, table = _powers
+        if last is not x or not frozen(x) or len(table) <= top * 4:
+            table = _power_table(x, top)
+            if frozen(x):
+                _powers = (x, table)
+        mono = np.multiply.reduce(table[rows], axis=1)
         return C.dot(mono).reshape(x.shape[:-1])[()]
 
     def partial(self, i):

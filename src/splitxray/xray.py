@@ -9,7 +9,12 @@ closed form is exactly 2*pi/sqrt(det Gram).
 
 A QuadratureSpec computes the cos and sin of its nodes once, when it is
 built; a transform then costs the circle points (two scaled columns and a
-sum), one evaluation of the integrand on them and one sum.
+sum), one evaluation of the integrand on them and one sum.  xray_transform
+keeps the read-only circle points of the last (frame, spec) it integrated,
+so a design matrix, which integrates every basis function over one frame
+before the next, builds each frame's circle once.  Being read-only, those
+points also let Poly4 and the radial factors reuse their power table and
+|x|^2 across the basis functions (see poly.frozen).
 
 As a function of the frame the transform is a weight -1 field
 (|det g|**-1 under right GL(2) moves), and its chart restriction is
@@ -27,6 +32,7 @@ from .defaults import DEFAULTS
 from .fields import HomogeneousFunction, WeightedField
 from .geometry import Frame, chart_frame_rows, check_frames
 from .operators import ChartField, worst_residual
+from .poly import frozen
 
 
 @dataclass(frozen=True)
@@ -76,12 +82,32 @@ def circle_integral(values, q: QuadratureSpec):
     return values.sum(axis=-1) * (2.0 * np.pi / q.n_nodes)
 
 
+# (u, v, spec, points) of the last frame xray_transform integrated, its
+# vectors frozen; replaced as one tuple.
+_circle = (None, None, None, None)
+
+
+def _frame_circle(frame: Frame, q: QuadratureSpec):
+    """circle_points(frame, q), read-only, reused from the last call while
+    the frame's u and v are the same frozen arrays and q the same spec."""
+    global _circle
+    u, v = frame.u, frame.v
+    last_u, last_v, last_q, points = _circle
+    if last_u is u and last_v is v and last_q is q and frozen(u) and frozen(v):
+        return points
+    points = circle_points(frame, q)
+    points.setflags(write=False)
+    if frozen(u) and frozen(v):
+        _circle = (u, v, q, points)
+    return points
+
+
 def xray_transform(f: HomogeneousFunction, frame: Frame,
                    q: QuadratureSpec = QuadratureSpec()):
     """Integral of f over the circle of the frame; requires degree -2."""
     if f.degree != -2:
         raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
-    return circle_integral(f(circle_points(frame, q)), q)
+    return circle_integral(f(_frame_circle(frame, q)), q)
 
 
 def xray_weighted_field(f: HomogeneousFunction,

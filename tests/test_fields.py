@@ -57,6 +57,18 @@ def test_eval_rejects_origin():
         f(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
 
 
+def test_complex_points_are_refused():
+    h = harmonic_basis(2)[4]
+    g = basis_to_degree_minus_2(h)
+    z = np.array([1.0, 0.5j, -0.3, 0.2])
+    for f in (g, g.grad, h, HomogeneousFunction.radial_power(-2)):
+        with pytest.raises(TypeError, match="complex"):
+            f(z)
+    # refused by dtype even with a zero imaginary part
+    with pytest.raises(TypeError, match="complex"):
+        g(z.real + 0j)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=4, max_size=4),
        st.sampled_from([-2, -4, 2]))
@@ -164,6 +176,18 @@ def test_harmonic_basis_linear_independence():
         m = np.array([[float(h.poly.coeffs.get(e, 0)) for e in monos]
                       for h in basis])
         assert np.linalg.matrix_rank(m) == len(basis)
+
+
+def test_closed_form_harmonic_basis_structure():
+    """Element i is the harmonic whose only monomial of x1-degree <= 1 is
+    the i-th such monomial of exponents_of_degree, with coefficient 1."""
+    for k in range(9):
+        free = [e for e in exponents_of_degree(k) if e[0] <= 1]
+        basis = harmonic_basis(k)
+        assert len(basis) == len(free) == (k + 1) ** 2
+        for e, h in zip(free, basis):
+            assert {m: c for m, c in h.poly.coeffs.items() if m[0] <= 1} == {e: 1}
+            assert laplacian_oracle(h.poly) == {}
 
 
 def test_harmonic_polynomial_rejects_non_harmonic():

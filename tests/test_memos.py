@@ -1,0 +1,157 @@
+"""The one-entry memos of the per-call circle path: xray_transform's circle
+points, Poly4's power table and the radial factors' |x|^2.
+
+Writable arrays bypass every memo, so a loop over writable copies of the
+circle points is the memo-free reference.
+"""
+
+import numpy as np
+import pytest
+
+from splitxray import fields, poly, xray
+from splitxray.fields import HomogeneousFunction, harmonic_basis
+from splitxray.geometry import Frame
+from splitxray.inversion import design_matrix, sample_frames, transform_basis
+from splitxray.poly import Poly4, frozen
+from splitxray.xray import (QuadratureSpec, circle_integral, circle_points,
+                            xray_transform)
+
+Q16 = QuadratureSpec(16)
+
+
+def memo_free_transform(f, frame, q):
+    """The transform of f from a writable copy of the frame's circle."""
+    return circle_integral(f(np.array(circle_points(frame, q))), q)
+
+
+def readonly_view(base):
+    view = base[...]
+    view.setflags(write=False)
+    return view
+
+
+def test_frozen_means_read_only_and_owning():
+    a = np.arange(4.0)
+    assert not frozen(a)
+    a.setflags(write=False)
+    assert frozen(a)
+    assert not frozen(readonly_view(np.arange(4.0)))
+    assert not frozen(readonly_view(a))
+
+
+def test_design_matrix_equals_memo_free_loop_bitwise():
+    basis = transform_basis(8)
+    frames = sample_frames(25, 11)
+    q = QuadratureSpec(128)
+    expected = np.array([[memo_free_transform(f, frame, q) for f in basis]
+                         for frame in frames])
+    assert np.array_equal(design_matrix(basis, frames, q).matrix, expected)
+
+
+def test_alternating_frames_and_degrees_give_fresh_values():
+    basis = transform_basis(4)
+    high, low = basis[-1], basis[0]
+    a, b = sample_frames(2, 5)
+    expected = {(name, i): memo_free_transform(f, frame, Q16)
+                for name, f in (("high", high), ("low", low))
+                for i, frame in enumerate((a, b))}
+    # A, B, A; each frame's table grows from degree 0 to degree 4 and the
+    # next frame starts small again
+    for i, frame in ((0, a), (1, b), (0, a)):
+        for name, f in (("low", low), ("high", high), ("low", low)):
+            assert xray_transform(f, frame, Q16) == expected[name, i]
+    # the same values with another spec in between
+    xray_transform(high, a, QuadratureSpec(32))
+    assert xray_transform(high, a, Q16) == expected["high", 0]
+
+
+def test_readonly_view_follows_its_mutated_base():
+    g = fields.basis_to_degree_minus_2(harmonic_basis(4)[7])
+    p = harmonic_basis(4)[7].poly
+    a, b = sample_frames(2, 3)
+    base = np.array(circle_points(a, Q16))
+    view = readonly_view(base)
+    before_g, before_p = g(view), p(view)
+    base[...] = circle_points(b, Q16)
+    fresh = np.array(circle_points(b, Q16))
+    assert np.array_equal(g(view), g(fresh))
+    assert np.array_equal(p(view), p(fresh))
+    assert not np.array_equal(g(view), before_g)
+    assert not np.array_equal(p(view), before_p)
+
+
+def test_writable_arrays_are_never_memoized():
+    h = harmonic_basis(2)[4]
+    g = fields.basis_to_degree_minus_2(h)
+    frame = sample_frames(1, 9)[0]
+    x = np.array(circle_points(frame, Q16))
+    g(x)
+    h.poly(x)
+    assert poly._powers[0] is not x
+    assert fields._norms[0] is not x
+    # a frame whose vectors were swapped for writable arrays: its circle is
+    # not kept, and a change of u shows in the next transform
+    a, b = sample_frames(2, 4)
+    loose = Frame(a.u, a.v)
+    loose.u = np.array(a.u)
+    first = xray_transform(g, loose, Q16)
+    assert xray._circle[0] is not loose.u
+    assert first == memo_free_transform(g, a, Q16)
+    loose.u[...] = b.u
+    assert xray_transform(g, loose, Q16) == memo_free_transform(
+        g, Frame(b.u, a.v), Q16)
+
+
+def test_an_array_made_writable_again_is_not_reused():
+    g = fields.basis_to_degree_minus_2(harmonic_basis(2)[4])
+    a, b = sample_frames(2, 6)
+    x = np.array(circle_points(a, Q16))
+    x.setflags(write=False)
+    g(x)
+    assert poly._powers[0] is x and fields._norms[0] is x
+    x.setflags(write=True)
+    x[...] = circle_points(b, Q16)
+    assert np.array_equal(g(x), g(np.array(circle_points(b, Q16))))
+    # the same for a frame vector
+    frame = Frame(a.u, a.v)
+    xray_transform(g, frame, Q16)
+    assert xray._circle[0] is frame.u
+    frame.u.setflags(write=True)
+    frame.u[...] = b.u
+    assert xray_transform(g, frame, Q16) == memo_free_transform(
+        g, Frame(b.u, a.v), Q16)
+
+
+def test_points_at_the_origin_are_refused_on_a_memo_hit():
+    x = np.array([[1.0, 2.0, 0.5, -1.0], [0.0, 0.0, 0.0, 0.0]])
+    x.setflags(write=False)
+    radial = HomogeneousFunction.radial_power(-2)
+    plain = HomogeneousFunction.from_poly(harmonic_basis(2)[3].poly)
+    for f in (radial, plain, radial):
+        with pytest.raises(ValueError, match="origin"):
+            f(x)
+        assert fields._norms[0] is x
+
+
+def test_each_memo_holds_one_entry_after_a_400_frame_matrix():
+    basis = transform_basis(2)
+    frames = sample_frames(400, 8)
+    design_matrix(basis, frames, Q16)
+    u, v, q, points = xray._circle
+    assert (u, v, q) == (frames[-1].u, frames[-1].v, Q16)
+    assert not points.flags.writeable and points.shape == (16, 4)
+    last, table = poly._powers
+    assert last is points and table.shape == (3 * 4, 16)
+    last, r2, origin = fields._norms
+    assert last is points and r2.shape == (16,) and origin is False
+
+
+def test_poly_table_grows_with_degree_on_one_point_array():
+    x = np.array(circle_points(sample_frames(1, 2)[0], Q16))
+    x.setflags(write=False)
+    low = Poly4.monomial((1, 0, 0, 1), 2.0)
+    high = Poly4({(5, 0, 0, 0): 1.0, (0, 2, 3, 0): -0.5})
+    ref = np.array(x)
+    for p in (low, high, low, high):
+        assert np.array_equal(p(x), p(ref))
+    assert poly._powers[0] is x and len(poly._powers[1]) == 6 * 4
