@@ -5,20 +5,18 @@ twistor contour transform, and split self-dual gauge fields."""
 from .fields import (HarmonicPolynomial, HomogeneousFunction, WeightedField,
                      basis_to_degree_minus_2, export_harmonic_basis_csv,
                      harmonic_basis, weight_transform_residual)
-from .geometry import (ComplexProjectivePoint, FlagPoint, Frame, GPoint,
-                       PlueckerPoint, RealProjectivePoint, chart_from_plane,
-                       incidence, mu_inverse, mu_restrict, pi_project,
-                       plane_from_chart, plucker_embed)
-from .instanton import (Connection, Curvature, GaugeMap, bianchi_residual,
-                        connection_preset, constant_gauge, curvature,
-                        gauge_transform, hodge_star, scalar_phase,
-                        selfdual_residual)
+from .geometry import (ComplexProjectivePoint, Frame, GPoint, PlueckerPoint,
+                       RealProjectivePoint, chart_from_plane, incidence,
+                       mu_inverse, mu_restrict, pi_project, plane_from_chart,
+                       plucker_embed)
+from .instanton import (Connection, Curvature, GaugeMap, connection_preset,
+                        constant_gauge, curvature, gauge_transform, hodge_star,
+                        scalar_phase, selfdual_residual)
 from .inversion import (DesignMatrix, InjectivityReport, ReconstructionReport,
-                        design_matrix, injectivity_report, load_design_matrix,
-                        reconstruct, sample_frames, save_design_matrix,
-                        transform_basis)
-from .operators import (ChartField, FDSpec, box_diag, chart_to_diag,
-                        coupled_box, diag_to_chart, dn_residual, john_operator)
+                        design_matrix, injectivity_report, reconstruct,
+                        sample_frames, save_design_matrix, transform_basis)
+from .operators import (ChartField, box_diag, chart_to_diag, coupled_box,
+                        diag_to_chart, dn_residual, john_operator)
 from .penrose import (PoleProximityError, PoleSafetyReport,
                       TwistorRationalFunction, contour_chart_field,
                       contour_transform, elementary_state, pole_safety,

@@ -42,7 +42,6 @@ CONFIG_SCHEMA = {
         "nodes": {"type": "integer", "minimum": 4},
         "nodes_john": {"type": "integer", "minimum": 4},
         "fd_step": {"type": "number", "exclusiveMinimum": 0},
-        "richardson": {"type": "boolean"},
         "seed": {"type": "integer"},
         "max_degree": {"type": "integer", "minimum": 0},
         "n_frames": {"type": "integer", "minimum": 1},
@@ -57,9 +56,6 @@ CONFIG_SCHEMA = {
         "save_design": {"type": ["string", "null"],
                         "description": "path prefix for the design matrix CSV "
                                        "+ sidecar"},
-        "noise": {"type": "number", "minimum": 0,
-                  "description": "sample noise level for reconstruct "
-                                 "(default 0)"},
         "output": {"type": ["string", "null"],
                    "description": "write the report to this path"},
         "format": {"enum": ["json", "csv"]},
@@ -171,13 +167,12 @@ def _chart_points(rng, count, scale=0.35):
 def _suite_verify_john(cfg):
     rng = np.random.default_rng(cfg["seed"])
     q = xray.QuadratureSpec(cfg["nodes_john"])
-    fd = operators.FDSpec(cfg["fd_step"], cfg["richardson"])
     checks = []
     for k in range(0, cfg["max_degree"] + 1, 2):
         residuals = []
         for h in fields.harmonic_basis(k):
             phi = xray.xray_chart_field(fields.basis_to_degree_minus_2(h), q)
-            residuals += [abs(operators.john_operator(phi, X, fd))
+            residuals += [abs(operators.john_operator(phi, X, cfg["fd_step"]))
                           for X in _chart_points(rng, 10)]
         checks.append(_record(cfg, f"john:deg{k}", worst_residual(residuals)))
     return checks
@@ -222,7 +217,6 @@ def _suite_verify_equivariance(cfg):
 def _suite_verify_moments(cfg):
     rng = np.random.default_rng(cfg["seed"])
     q = xray.QuadratureSpec(cfg["nodes"])
-    fd = operators.FDSpec(cfg["fd_step"], cfg["richardson"])
     checks = []
     for n in (1, 2):
         residuals = []
@@ -230,7 +224,7 @@ def _suite_verify_moments(cfg):
             f = (fields.HomogeneousFunction.from_poly(h.poly)
                  * fields.HomogeneousFunction.radial_power(-2 * n - 2))
             m = xray.moment_chart_field(f, n, q)
-            residuals += [operators.dn_residual(m, X, fd)
+            residuals += [operators.dn_residual(m, X, cfg["fd_step"])
                           for X in _chart_points(rng, 5)]
         checks.append(_record(cfg, f"moments:n{n}", worst_residual(residuals)))
     return checks
@@ -242,11 +236,10 @@ def _instanton_points(rng, count=5, scale=0.8):
 
 def _suite_verify_selfdual(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    fd = operators.FDSpec(cfg["fd_step"], cfg["richardson"])
     conn = instanton.connection_preset(cfg["connection"])
     points = _instanton_points(rng)
     checks = [_record(cfg, f"selfdual:{conn.name}",
-                      instanton.selfdual_residual(conn, points, fd))]
+                      instanton.selfdual_residual(conn, points))]
     residuals = []
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
         F = instanton.Curvature(1, {p: np.array([[1.0 + 0.0j if p == (i, j) else 0.0]])
@@ -260,22 +253,21 @@ def _suite_verify_selfdual(cfg):
 
 def _suite_verify_gauge(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    fd = operators.FDSpec(cfg["fd_step"], cfg["richardson"])
     conn = instanton.connection_preset(cfg["connection"])
     g = instanton.scalar_phase(Poly4.monomial((1, 1, 0, 0)), n=conn.n)
     moved = instanton.gauge_transform(conn, g)
     points = _instanton_points(rng)
-    base = instanton.selfdual_residual(conn, points, fd)
-    after = instanton.selfdual_residual(moved, points, fd)
+    base = instanton.selfdual_residual(conn, points)
+    after = instanton.selfdual_residual(moved, points)
     return [_record(cfg, f"gauge_invariance:{conn.name}", abs(after - base))]
 
 
 def _suite_verify_coupled_box(cfg):
-    fd = operators.FDSpec(cfg["fd_step"], cfg["richardson"])
+    h = cfg["fd_step"]
     conn = instanton.connection_preset("flagship-u1")
     x0 = np.array([1.0, 0.0, 2.0, 0.0])
     one = lambda x: np.array([1.0 + 0.0j])
-    value = operators.coupled_box(conn, one, x0, fd)[0]
+    value = operators.coupled_box(conn, one, x0, h)[0]
     checks = [_record(cfg, "coupled_box:hand-value",
                       abs(value - (-x0[0] ** 2 + x0[2] ** 2)))]
 
@@ -286,8 +278,8 @@ def _suite_verify_coupled_box(cfg):
     gpsi = lambda x: g.at(x) @ psi(x)
     rng = np.random.default_rng(cfg["seed"])
     worst = worst_residual(
-        np.linalg.norm(operators.coupled_box(moved, gpsi, x, fd)
-                       - g.at(x) @ operators.coupled_box(conn, psi, x, fd))
+        np.linalg.norm(operators.coupled_box(moved, gpsi, x, h)
+                       - g.at(x) @ operators.coupled_box(conn, psi, x, h))
         for x in _instanton_points(rng, 3))
     checks.append(_record(cfg, "gauge_covariance", worst))
     return checks
@@ -341,15 +333,15 @@ def _penrose_base_frame(state, rng, margin, ratio_floor, john_floor):
 
 def _suite_penrose_elementary(cfg):
     q = xray.QuadratureSpec(cfg["nodes"])
-    fd = operators.FDSpec(cfg["fd_step"], cfg["richardson"])
     a = _parse_covector(cfg["state_a"], "state_a")
     b = _parse_covector(cfg["state_b"], "state_b")
     try:
         state = penrose.elementary_state(a, b)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    is_default = (cfg["state_a"] == DEFAULTS["state_a"]
-                  and cfg["state_b"] == DEFAULTS["state_b"])
+    is_default = (
+        np.array_equal(a, _parse_covector(DEFAULTS["state_a"], "state_a"))
+        and np.array_equal(b, _parse_covector(DEFAULTS["state_b"], "state_b")))
     rng = np.random.default_rng(cfg["seed"])
     ratio_floor = _strip_floor(cfg, "penrose_ratio_spread", cfg["nodes"])
     john_floor = _strip_floor(cfg, "penrose_john", cfg["nodes_john"])
@@ -401,7 +393,7 @@ def _suite_penrose_elementary(cfg):
             continue
         if penrose.factor_orientation(state, fr) != chart_signature:
             continue
-        residuals.append(abs(operators.john_operator(phi, X, fd)))
+        residuals.append(abs(operators.john_operator(phi, X, cfg["fd_step"])))
         tried += 1
     if tried == 0:
         raise ConfigError("no pole-safe chart neighborhood for the John check")
@@ -447,14 +439,15 @@ def _suite_reconstruct(cfg):
     frames = inversion.sample_frames(cfg["n_frames"], cfg["seed"])
     d = inversion.design_matrix(basis, frames, q, seed=cfg["seed"])
     if cfg["save_design"]:
-        inversion.save_design_matrix(d, cfg["save_design"])
+        try:
+            inversion.save_design_matrix(d, cfg["save_design"])
+        except OSError as e:
+            raise ConfigError(f"cannot write the design matrix: {e}") from e
     rng = np.random.default_rng(cfg["seed"] + 1)
     errors = []
     for _ in range(3):
         c = rng.normal(size=len(basis))
         samples = d.matrix @ c
-        if cfg["noise"] > 0.0:
-            samples = samples + cfg["noise"] * rng.normal(size=samples.shape)
         report = inversion.reconstruct(samples, d, true_coefficients=c)
         errors.append(report.relative_coefficient_error)
     return [_record(cfg, "reconstruction", worst_residual(errors))]
@@ -505,12 +498,6 @@ def _run_merged(cfg) -> Report:
                   timestamp=datetime.now(timezone.utc).isoformat())
 
 
-def _on_off(text):
-    if text not in ("on", "off"):
-        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
-    return text == "on"
-
-
 def _json_object(text):
     try:
         return json.loads(text)
@@ -519,7 +506,7 @@ def _json_object(text):
 
 
 # How a flag's text becomes a value of its schema type; other flags are text.
-_FLAG_TYPES = {"integer": int, "number": float, "boolean": _on_off,
+_FLAG_TYPES = {"integer": int, "number": float,
                "array": lambda text: text.split(","), "object": _json_object}
 
 
@@ -539,7 +526,6 @@ def _build_parser():
             p.add_argument("--" + key.replace("_", "-"),
                            type=_FLAG_TYPES.get(kind, str),
                            choices=spec.get("enum"),
-                           metavar="on|off" if kind == "boolean" else None,
                            help=spec.get("description"))
     return parser
 
@@ -556,6 +542,10 @@ def main(argv=None):
         except (OSError, json.JSONDecodeError) as e:
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 2
+        if not isinstance(file_config, dict):
+            print(f"error: config file must hold a JSON object, not "
+                  f"{json.dumps(file_config)[:40]}", file=sys.stderr)
+            return 2
 
     cfg = _merge_config(flags["command"], file_config, flags)
     try:
@@ -567,8 +557,12 @@ def main(argv=None):
 
     text = report.to_json() if cfg["format"] == "json" else report.to_csv()
     if cfg["output"]:
-        with open(cfg["output"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["output"], "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     print(text, end="")
 
     if report.overall:

@@ -3,19 +3,23 @@
 Every CLI suite and the acceptance tests read from here; nothing else in
 the package hardcodes a tolerance.
 
-============================  =========  =====================================
-key                           default    meaning
-============================  =========  =====================================
-nodes                         64         quadrature nodes for plain transforms
-nodes_john                    128        quadrature nodes for John residuals
-fd_step                       1e-3       central-difference step h
-richardson                    True       Richardson extrapolation on stencils
-seed                          2025       RNG seed for all sampled data
-max_degree                    4          top even basis degree
-n_frames                      120        frames for injectivity/reconstruction
-connection                    flagship-u1  named connection preset
-pole_margin                   1e-3       minimum pole distance on the circle
-============================  =========  =====================================
+================  ===========  ==========================================
+key               default      meaning
+================  ===========  ==========================================
+nodes             64           quadrature nodes for plain transforms
+nodes_john        128          quadrature nodes for John residuals
+fd_step           1e-3         stencil step h; stencils also take h/2 and
+                               Richardson-extrapolate
+seed              2025         RNG seed for all sampled data
+max_degree        4            top even basis degree
+n_frames          120          frames for injectivity/reconstruction
+connection        flagship-u1  named connection preset
+pole_margin       1e-3         minimum pole distance on the circle
+state_a           1,0,1j,0     elementary-state covectors of
+state_b           1j,0,1,0     penrose-elementary
+save_design       None         path prefix for the design-matrix CSV + JSON
+tolerances        TOLERANCES   per-check tolerances
+================  ===========  ==========================================
 
 Tolerances (see TOLERANCES for the authoritative values):
 flagship_value 1e-12, chart_closed_form 1e-10, john 1e-6,
@@ -24,6 +28,8 @@ rank_defect 0, selfdual 1e-10, star_involution 1e-14,
 gauge_invariance 1e-8, coupled_box 1e-6, gauge_covariance 1e-6,
 penrose_value 1e-12, penrose_ratio_spread 1e-8, penrose_john 1e-6,
 geometry_roundtrip 1e-12, coordinate_consistency 1e-6.
+No suite reads flagship_value, chart_closed_form or coordinate_consistency;
+tests/test_acceptance.py checks them.
 """
 
 TOLERANCES = {
@@ -51,7 +57,6 @@ DEFAULTS = {
     "nodes": 64,
     "nodes_john": 128,
     "fd_step": 1e-3,
-    "richardson": True,
     "seed": 2025,
     "max_degree": 4,
     "n_frames": 120,
@@ -62,7 +67,5 @@ DEFAULTS = {
     "state_b": ["1j", "0", "1", "0"],
     # optional path prefix for the design-matrix CSV + JSON sidecar
     "save_design": None,
-    # additive sample noise for the reconstruct suite (experimentation only)
-    "noise": 0.0,
     "tolerances": dict(TOLERANCES),
 }

@@ -1,11 +1,12 @@
 """Homogeneous functions on R^4 minus the origin, harmonic bases, and
 determinant-weighted functions of frames.
 
-A HomogeneousFunction pairs an evaluator with an analytic gradient built by
-product/chain rule over a closed vocabulary: polynomials, even powers of
-|x|, and their sums/products.  Harmonic polynomial bases are built in
-closed form with exact rational coefficients, so basis elements have an
-identically zero Laplacian coefficient table before any floats appear.
+A HomogeneousFunction is an evaluator with an exact integer degree, built
+over a closed vocabulary: polynomials, even powers of |x|, their sums and
+products, and linear changes of variable.  Harmonic polynomial bases are
+built in closed form with exact rational coefficients, so basis elements
+have an identically zero Laplacian coefficient table before any floats
+appear.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .poly import Poly4, exponents_of_degree, frozen
 class HomogeneousFunction:
     """A function on R^4 \\ {0} with exact integer homogeneity.
 
-    eval and grad are vectorized over a trailing axis of length 4; both
-    raise on the origin.  The stored degree is exact: eval(t*x) equals
+    Evaluation is vectorized over a trailing axis of length 4 and raises
+    on the origin.  The stored degree is exact: eval(t*x) equals
     t**degree * eval(x) for every nonzero real t, which restricts radial
     factors to even powers of |x|.
 
@@ -33,18 +34,17 @@ class HomogeneousFunction:
     and a function with one (origin_in_value) skips the separate test.
     """
 
-    __slots__ = ("degree", "label", "_value", "_grad", "_origin_in_value")
+    __slots__ = ("degree", "label", "_value", "_origin_in_value")
 
-    def __init__(self, degree, value: Callable, grad: Callable, label="f",
+    def __init__(self, degree, value: Callable, label="f",
                  origin_in_value=False):
         self.degree = int(degree)
         self.label = label
         self._value = value
-        self._grad = grad
         self._origin_in_value = origin_in_value
 
     @staticmethod
-    def _check_points(x, origin=True):
+    def _check_points(x, origin):
         x = _real_points(x)
         if x.shape[-1] != 4:
             raise ValueError("points must have a trailing axis of length 4")
@@ -55,24 +55,16 @@ class HomogeneousFunction:
     def __call__(self, x):
         return self._value(self._check_points(x, not self._origin_in_value))
 
-    def grad(self, x):
-        return self._grad(self._check_points(x))
-
     # ---- constructors ----------------------------------------------------
 
     @classmethod
     def from_poly(cls, poly: Poly4, label=None):
-        """Wrap a homogeneous polynomial; gradient from the coefficient table."""
+        """Wrap a nonzero homogeneous polynomial."""
         if poly.is_zero():
             raise ValueError("use HomogeneousFunction.zero for the zero function")
         if not poly.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
-        partials = poly.gradient()
-
-        def grad(x):
-            return np.stack([p(x) for p in partials], axis=-1)
-
-        return cls(poly.degree, poly, grad, label or f"poly{poly.degree}")
+        return cls(poly.degree, poly, label or f"poly{poly.degree}")
 
     @classmethod
     def radial_power(cls, p, label=None):
@@ -85,18 +77,11 @@ class HomogeneousFunction:
         def value(x):
             return _refuse_origin(x) ** half
 
-        def grad(x):
-            r2 = np.einsum("...i,...i->...", x, x)
-            return p * (r2 ** (half - 1))[..., None] * x
-
-        return cls(p, value, grad, label or f"|x|^{p}", origin_in_value=True)
+        return cls(p, value, label or f"|x|^{p}", origin_in_value=True)
 
     @classmethod
     def zero(cls, degree=-2):
-        return cls(degree,
-                   lambda x: np.zeros(x.shape[:-1]),
-                   lambda x: np.zeros(x.shape),
-                   label="0")
+        return cls(degree, lambda x: np.zeros(x.shape[:-1]), label="0")
 
     # ---- algebra ---------------------------------------------------------
 
@@ -107,18 +92,12 @@ class HomogeneousFunction:
             def value(x):
                 return f._value(x) * g._value(x)
 
-            def grad(x):
-                return (f._grad(x) * g._value(x)[..., None]
-                        + g._grad(x) * f._value(x)[..., None])
-
             return HomogeneousFunction(
-                f.degree + g.degree, value, grad, f"{f.label}*{g.label}",
+                f.degree + g.degree, value, f"{f.label}*{g.label}",
                 f._origin_in_value or g._origin_in_value)
         c = other
         return HomogeneousFunction(
-            self.degree,
-            lambda x, f=self._value: c * f(x),
-            lambda x, g=self._grad: c * g(x),
+            self.degree, lambda x, f=self._value: c * f(x),
             f"{c}*{self.label}", self._origin_in_value)
 
     __rmul__ = __mul__
@@ -130,9 +109,7 @@ class HomogeneousFunction:
             raise ValueError("cannot add homogeneous functions of different degree")
         f, g = self, other
         return HomogeneousFunction(
-            self.degree,
-            lambda x: f._value(x) + g._value(x),
-            lambda x: f._grad(x) + g._grad(x),
+            self.degree, lambda x: f._value(x) + g._value(x),
             f"{f.label}+{g.label}", f._origin_in_value or g._origin_in_value)
 
     def __sub__(self, other):
@@ -153,15 +130,11 @@ class HomogeneousFunction:
         def value(x):
             return f._value(x @ g.T)
 
-        def grad(x):
-            return f._grad(x @ g.T) @ g
-
-        return HomogeneousFunction(self.degree, value, grad,
-                                   label or f"{self.label}.g")
+        return HomogeneousFunction(self.degree, value, label or f"{self.label}.g")
 
     def with_label(self, label):
         """The same function under another label."""
-        return HomogeneousFunction(self.degree, self._value, self._grad, label,
+        return HomogeneousFunction(self.degree, self._value, label,
                                    self._origin_in_value)
 
 
@@ -327,15 +300,3 @@ def export_harmonic_basis_csv(k, path):
             for expo in sorted(h.poly.coeffs):
                 writer.writerow([idx, *expo, float(h.poly.coeffs[expo])])
     return path
-
-
-def import_harmonic_basis_csv(path):
-    """Read a basis CSV back as a list of (index, Poly4) coefficient tables."""
-    tables = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            idx = int(row["index"])
-            expo = tuple(int(row[f"e{i}"]) for i in range(1, 5))
-            tables.setdefault(idx, {})[expo] = float(row["coeff"])
-    return [Poly4(tables[i]) for i in sorted(tables)]

@@ -271,20 +271,6 @@ class GPoint:
                 f"line is not contained in the complexified plane (residual {r:.3e})")
 
 
-@dataclass(frozen=True)
-class FlagPoint:
-    """A real line inside a real 2-plane."""
-
-    line: RealProjectivePoint
-    plane: Frame
-
-    def __post_init__(self):
-        r = _projection_residual_real(self.line.rep, self.plane)
-        if r > PROJECTIVE_TOL:
-            raise ValueError(
-                f"line is not contained in the plane (residual {r:.3e})")
-
-
 def _projection_residual_real(w, plane: Frame):
     q, _ = np.linalg.qr(plane.matrix().T)
     return float(np.linalg.norm(w - q @ (q.T @ w)))

@@ -1,11 +1,11 @@
 """Split-signature self-dual Yang-Mills data.
 
 Connections are four matrix-valued coefficient functions on R^4 carrying
-optional analytic first partials; curvature, the split Hodge star, the
-self-duality residual and gauge transformations are built on top.  The
-orientation convention is fixed once: metric diag(+1,+1,-1,-1) and
-epsilon_1234 = +1.  Flipping the orientation exchanges self-dual and
-anti-self-dual forms.
+exact first partials; curvature, the split Hodge star, the self-duality
+residual and gauge transformations are built on top and differentiate
+nothing numerically.  The orientation convention is fixed once: metric
+diag(+1,+1,-1,-1) and epsilon_1234 = +1.  Flipping the orientation
+exchanges self-dual and anti-self-dual forms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .operators import FDSpec, worst_residual
+from .operators import worst_residual
 from .poly import Poly4
 
 METRIC_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
@@ -38,12 +38,11 @@ LEVI_CIVITA.setflags(write=False)
 class Connection:
     """Four n x n matrix coefficient functions A_1..A_4 on R^4.
 
-    `partials`, when present, is a 4 x 4 nested sequence with
-    partials[i][j](x) = d A_j / d x_i; presets built from polynomial
-    matrices carry exact partials.
+    `partials` is a 4 x 4 nested sequence with partials[i][j](x) =
+    d A_j / d x_i; from_polynomials builds both from polynomial matrices.
     """
 
-    def __init__(self, n, components, partials=None, name="connection"):
+    def __init__(self, n, components, partials, name="connection"):
         self.n = int(n)
         if len(components) != 4:
             raise ValueError("a connection has exactly four coefficients")
@@ -58,9 +57,7 @@ class Connection:
         return a
 
     def partial(self, i, j, x):
-        """d A_j / d x_i, analytic; raises if no partials were declared."""
-        if self.partials is None:
-            raise ValueError("connection carries no analytic partials")
+        """d A_j / d x_i, analytic."""
         return np.asarray(self.partials[i][j](np.asarray(x, dtype=float)))
 
     @classmethod
@@ -84,11 +81,6 @@ class Connection:
                          for m in mats] for i in range(4)]
         parts = [[evaluator(pm) for pm in row] for row in partial_mats]
         return cls(n, comps, parts, name=name)
-
-    def antihermitian_residual(self, x):
-        """Max over i of ||A_i + A_i^*|| at x; zero for u(n) data."""
-        coeffs = [self.coefficient(i, x) for i in range(4)]
-        return worst_residual(np.linalg.norm(a + a.conj().T) for a in coeffs)
 
 
 class Curvature:
@@ -122,37 +114,15 @@ class Curvature:
                                   for p in _PAIRS})
 
 
-def _fd_partial(component, i, x, fd: FDSpec):
-    e = np.zeros(4)
-    e[i] = 1.0
-
-    def step(h):
-        return (np.asarray(component(x + h * e)) -
-                np.asarray(component(x - h * e))) / (2.0 * h)
-
-    d = step(fd.h)
-    if not fd.richardson:
-        return d
-    return (4.0 * step(fd.h / 2.0) - d) / 3.0
-
-
-def curvature(A: Connection, x, fd: FDSpec = FDSpec()) -> Curvature:
-    """F_ij = d_i A_j - d_j A_i + [A_i, A_j].
-
-    Uses the connection's analytic partials when present, otherwise
-    central differences with the given FDSpec.
-    """
+def curvature(A: Connection, x) -> Curvature:
+    """F_ij = d_i A_j - d_j A_i + [A_i, A_j], from the connection's exact
+    partials."""
     x = np.asarray(x, dtype=float)
     coeffs = [A.coefficient(i, x) for i in range(4)]
     comps = {}
     for i, j in _PAIRS:
-        if A.partials is not None:
-            dij = A.partial(i, j, x)
-            dji = A.partial(j, i, x)
-        else:
-            dij = _fd_partial(A.components[j], i, x, fd)
-            dji = _fd_partial(A.components[i], j, x, fd)
-        comps[(i, j)] = dij - dji + coeffs[i] @ coeffs[j] - coeffs[j] @ coeffs[i]
+        comps[(i, j)] = (A.partial(i, j, x) - A.partial(j, i, x)
+                         + coeffs[i] @ coeffs[j] - coeffs[j] @ coeffs[i])
     return Curvature(A.n, comps)
 
 
@@ -167,43 +137,17 @@ def hodge_star(F: Curvature) -> Curvature:
     return Curvature(F.n, {(i, j): starred[i, j] for i, j in _PAIRS})
 
 
-def selfdual_residual(A: Connection, points, fd: FDSpec = FDSpec()):
+def selfdual_residual(A: Connection, points):
     """Max over points of ||*F - F||; zero identifies a split instanton."""
-    curvatures = (curvature(A, x, fd) for x in points)
+    curvatures = (curvature(A, x) for x in points)
     return worst_residual((hodge_star(F) - F).norm() for F in curvatures)
 
 
-def bianchi_residual(A: Connection, x, fd: FDSpec = FDSpec()):
-    """Cyclic covariant-derivative residual of the curvature at x.
-
-    For each index triple, || sum_cyc (d_i F_jk + [A_i, F_jk]) || with the
-    curvature differentiated by central differences.
-    """
-    x = np.asarray(x, dtype=float)
-
-    def dF(i, j, k):
-        e = np.zeros(4)
-        e[i] = 1.0
-        return (curvature(A, x + fd.h * e, fd).component(j, k)
-                - curvature(A, x - fd.h * e, fd).component(j, k)) / (2.0 * fd.h)
-
-    Fx = curvature(A, x, fd)
-    coeffs = [A.coefficient(i, x) for i in range(4)]
-    totals = []
-    for (i, j, k) in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        total = np.zeros((A.n, A.n), dtype=complex)
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            F_bc = Fx.component(b, c)
-            total = total + dF(a, b, c) + coeffs[a] @ F_bc - F_bc @ coeffs[a]
-        totals.append(np.linalg.norm(total))
-    return worst_residual(totals)
-
-
 class GaugeMap:
-    """An invertible matrix-valued map with analytic first (and optionally
-    second) partial derivatives."""
+    """An invertible matrix-valued map with analytic first and second
+    partial derivatives."""
 
-    def __init__(self, value, partial, second=None):
+    def __init__(self, value, partial, second):
         self.value = value
         self.partial = partial
         self.second = second
@@ -215,8 +159,6 @@ class GaugeMap:
         return np.asarray(self.partial(i, np.asarray(x, dtype=float)))
 
     def second_at(self, i, j, x):
-        if self.second is None:
-            raise ValueError("gauge map carries no second partials")
         return np.asarray(self.second(i, j, np.asarray(x, dtype=float)))
 
 
@@ -251,8 +193,8 @@ def gauge_transform(A: Connection, g: GaugeMap) -> Connection:
     """A^g_i = g A_i g^-1 - (d_i g) g^-1.
 
     Chosen so that (d + A^g)(g psi) = g (d + A) psi; curvature conjugates,
-    so the self-duality residual is gauge invariant.  Analytic partials of
-    the result are assembled when both A and g provide enough derivatives.
+    so the self-duality residual is gauge invariant.  The exact partials of
+    the result are assembled from those of A and g.
     """
 
     def component(j):
@@ -262,25 +204,22 @@ def gauge_transform(A: Connection, g: GaugeMap) -> Connection:
             return gx @ A.coefficient(j, x) @ ginv - g.partial_at(j, x) @ ginv
         return ev
 
+    def partial(i, j):
+        def ev(x):
+            gx = g.at(x)
+            ginv = np.linalg.inv(gx)
+            di_g = g.partial_at(i, x)
+            dj_g = g.partial_at(j, x)
+            aj = A.coefficient(j, x)
+            return (di_g @ aj @ ginv
+                    + gx @ A.partial(i, j, x) @ ginv
+                    - gx @ aj @ ginv @ di_g @ ginv
+                    - g.second_at(i, j, x) @ ginv
+                    + dj_g @ ginv @ di_g @ ginv)
+        return ev
+
     comps = [component(j) for j in range(4)]
-
-    partials = None
-    if A.partials is not None and g.second is not None:
-        def partial(i, j):
-            def ev(x):
-                gx = g.at(x)
-                ginv = np.linalg.inv(gx)
-                di_g = g.partial_at(i, x)
-                dj_g = g.partial_at(j, x)
-                aj = A.coefficient(j, x)
-                return (di_g @ aj @ ginv
-                        + gx @ A.partial(i, j, x) @ ginv
-                        - gx @ aj @ ginv @ di_g @ ginv
-                        - g.second_at(i, j, x) @ ginv
-                        + dj_g @ ginv @ di_g @ ginv)
-            return ev
-        partials = [[partial(i, j) for j in range(4)] for i in range(4)]
-
+    partials = [[partial(i, j) for j in range(4)] for i in range(4)]
     return Connection(A.n, comps, partials, name=f"{A.name}.gauge")
 
 

@@ -195,16 +195,3 @@ def save_design_matrix(d: DesignMatrix, path):
         json.dump(sidecar, fh, indent=2, sort_keys=True)
     return path
 
-
-def load_design_matrix(path) -> DesignMatrix:
-    path = str(path)
-    with open(path + ".csv", newline="") as fh:
-        matrix = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    frames = [Frame(np.array(u), np.array(v)) for u, v in sidecar["frames"]]
-    if matrix.shape != (len(frames), len(sidecar["basis_ids"])):
-        raise ValueError("design matrix shape does not match its sidecar")
-    return DesignMatrix(matrix=matrix, frames=frames,
-                        basis_ids=sidecar["basis_ids"],
-                        n_nodes=sidecar["n_nodes"], seed=sidecar["seed"])

@@ -7,6 +7,10 @@ diag_to_chart implement the fixed linear change of variables identifying
 the two, normalized so that the John operator pulls back to exactly one
 quarter of the diagonal operator.
 
+Every stencil here takes one positive step h, central differences at h
+and h/2, and Richardson-extrapolates them, (4 d(h/2) - d(h)) / 3, which
+cancels the leading error term and makes the result fourth order in h.
+
 Everything here verifies residuals of candidate solutions; nothing solves
 a PDE.
 """
@@ -14,7 +18,7 @@ a PDE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,16 +41,16 @@ _E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
 _E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
-@dataclass(frozen=True)
-class FDSpec:
-    """Central-difference step and Richardson-extrapolation switch."""
+def _steps(h):
+    """The two steps of a stencil, h and h/2; h must be positive."""
+    if not h > 0.0:
+        raise ValueError("finite-difference step must be positive")
+    return h, h / 2.0
 
-    h: float = DEFAULTS["fd_step"]
-    richardson: bool = DEFAULTS["richardson"]
 
-    def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("finite-difference step must be positive")
+def _extrapolate(d_h, d_half):
+    """(4 d(h/2) - d(h)) / 3, which cancels the leading error term."""
+    return (4.0 * d_half - d_h) / 3.0
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,9 @@ class ChartField:
     (..., 2, 2) and returns one value per point, shape (...); the stencils
     below then evaluate all their points in one call.  Without it eval
     takes one 2x2 point and is called once per point.
-
-    `partials`, when given, maps X to the 2x2 array of first partial
-    derivatives and is expected to agree with central differences to
-    O(h^2); see partials_residual.
     """
 
     eval: Callable
-    partials: Optional[Callable] = None
     stacked: bool = False
 
     def __call__(self, X):
@@ -88,23 +87,15 @@ def _evaluate(phi, points):
     return np.array([phi(X) for X in points])
 
 
-def _stencil(phi, X, offsets, fd: FDSpec):
-    """(steps, values): phi at X + h * offset for each step h of fd (h, then
-    h/2 with Richardson) and each offset, in one evaluation; values has
-    shape (len(steps), len(offsets), ...)."""
+def _stencil(phi, X, offsets, h):
+    """(steps, values): phi at X + s * offset for each step s of h and h/2
+    and each offset, in one evaluation; values has shape
+    (2, len(offsets), ...)."""
     X = np.asarray(X, dtype=float)
-    steps = (fd.h, fd.h / 2.0) if fd.richardson else (fd.h,)
-    points = np.stack([X + h * offsets for h in steps])
+    steps = _steps(h)
+    points = np.stack([X + s * offsets for s in steps])
     values = _evaluate(phi, points.reshape(-1, 2, 2))
     return steps, values.reshape(points.shape[:2] + values.shape[1:])
-
-
-def _extrapolate(per_step):
-    """The value at step h, or with Richardson (4 d(h/2) - d(h)) / 3, which
-    cancels the leading error term."""
-    if len(per_step) == 1:
-        return per_step[0]
-    return (4.0 * per_step[1] - per_step[0]) / 3.0
 
 
 _UNITS = np.array([_E11, _E12, _E21, _E22])
@@ -112,21 +103,11 @@ _UNITS = np.array([_E11, _E12, _E21, _E22])
 _GRADIENT_OFFSETS = np.stack([_UNITS, -_UNITS], axis=1).reshape(-1, 2, 2)
 
 
-def _gradient(phi, X, fd: FDSpec):
+def _gradient(phi, X, h):
     """Central differences along E11, E12, E21, E22, shape (4, ...)."""
-    steps, v = _stencil(phi, X, _GRADIENT_OFFSETS, fd)
-    return _extrapolate([(v[i, 0::2] - v[i, 1::2]) / (2.0 * h)
-                         for i, h in enumerate(steps)])
-
-
-def partials_residual(field: ChartField, X, fd: FDSpec = FDSpec()):
-    """Max deviation of the declared analytic partials from central differences."""
-    if field.partials is None:
-        raise ValueError("field declares no analytic partials")
-    X = np.asarray(X, dtype=float)
-    analytic = np.asarray(field.partials(X))
-    numeric = _gradient(field, X, fd)
-    return worst_residual(abs(a - d) for a, d in zip(analytic.ravel(), numeric))
+    steps, v = _stencil(phi, X, _GRADIENT_OFFSETS, h)
+    return _extrapolate(*[(v[i, 0::2] - v[i, 1::2]) / (2.0 * s)
+                          for i, s in enumerate(steps)])
 
 
 # The 4-point cross stencil of the mixed second partial along (da, db) has
@@ -141,17 +122,16 @@ def _mixed(v, h):
     return (v[0] - v[1] - v[2] + v[3]) / (4.0 * h * h)
 
 
-def john_operator(phi, X, fd: FDSpec = FDSpec()):
-    """d2 phi / dX11 dX22 - d2 phi / dX12 dX21 by central differences.
+def john_operator(phi, X, h=DEFAULTS["fd_step"]):
+    """d2 phi / dX11 dX22 - d2 phi / dX12 dX21 by central differences at
+    steps h and h/2, Richardson-extrapolated.
 
     phi may be a ChartField or any callable of a 2x2 array; a stacked
-    ChartField evaluates all stencil points in one call.  With
-    fd.richardson the stencil is evaluated at h and h/2 and combined to
-    cancel the leading error term.
+    ChartField evaluates all 16 stencil points in one call.
     """
-    steps, v = _stencil(phi, X, _JOHN_OFFSETS, fd)
-    return _extrapolate([_mixed(v[i, :4], h) - _mixed(v[i, 4:], h)
-                         for i, h in enumerate(steps)])
+    steps, v = _stencil(phi, X, _JOHN_OFFSETS, h)
+    return _extrapolate(*[_mixed(v[i, :4], s) - _mixed(v[i, 4:], s)
+                          for i, s in enumerate(steps)])
 
 
 # Linear identification between the chart and the diagonal coordinates.
@@ -217,15 +197,16 @@ def _coupled_box_step(A, psi, x, h):
     return total
 
 
-def coupled_box(A, psi, x, fd: FDSpec = FDSpec()):
+def coupled_box(A, psi, x, h=DEFAULTS["fd_step"]):
     """The signature-(2,2) wave operator coupled to a connection.
 
     Computes sum_i s_i (d_i + A_i)^2 psi with signs (+,+,-,-), built from
-    two nested first-order covariant differences; the connection
-    coefficients enter analytically.  A is any object with
-    coefficient(i, x) -> matrix, or None for the flat operator.  psi must
-    return arrays of a shape the coefficients can left-multiply (flat case:
-    any shape, scalars included).
+    two nested first-order covariant differences at steps h and h/2,
+    Richardson-extrapolated; the connection coefficients enter
+    analytically.  A is any object with coefficient(i, x) -> matrix, or
+    None for the flat operator.  psi must return arrays of a shape the
+    coefficients can left-multiply (flat case: any shape, scalars
+    included).
     """
     x = np.asarray(x, dtype=float)
     if A is not None:
@@ -234,18 +215,15 @@ def coupled_box(A, psi, x, fd: FDSpec = FDSpec()):
         if probe.ndim == 0 or probe.shape[0] != n:
             raise ValueError(
                 f"section shape {probe.shape} does not match bundle rank {n}")
-    v = _coupled_box_step(A, psi, x, fd.h)
-    if not fd.richardson:
-        return v
-    return (4.0 * _coupled_box_step(A, psi, x, fd.h / 2.0) - v) / 3.0
+    return _extrapolate(*[_coupled_box_step(A, psi, x, s) for s in _steps(h)])
 
 
-def box_diag(psi, x, fd: FDSpec = FDSpec()):
+def box_diag(psi, x, h=DEFAULTS["fd_step"]):
     """d1^2 + d2^2 - d3^2 - d4^2 by central differences (flat coupled_box)."""
-    return coupled_box(None, psi, np.asarray(x, dtype=float), fd)
+    return coupled_box(None, psi, np.asarray(x, dtype=float), h)
 
 
-def dn_residual(m, X, fd: FDSpec = FDSpec()):
+def dn_residual(m, X, h=DEFAULTS["fd_step"]):
     """Consistency residual of a moment field at a chart point.
 
     For components phi_0..phi_n the transform identities give
@@ -255,7 +233,7 @@ def dn_residual(m, X, fd: FDSpec = FDSpec()):
     """
     if m.n == 0:
         raise ValueError("no consistency relations at n = 0; use john_operator")
-    d = _gradient(m.vector, X, fd)
+    d = _gradient(m.vector, X, h)
     # rows of d: E11, E12 (row 1 of the chart), E21, E22 (row 2)
     return worst_residual(abs(d[2 + j, k] - d[j, k + 1])
                           for k in range(m.n) for j in range(2))

@@ -114,14 +114,14 @@ def test_criterion_10_coordinate_consistency():
         return (np.exp(0.4 * X[0, 0]) * np.cos(X[1, 1])
                 + X[0, 1] ** 3 - 2.0 * X[0, 1] * X[1, 0] + X[1, 0] ** 2)
 
-    fd = sx.FDSpec(1e-3, richardson=True)
+    h = 1e-3
     rng = np.random.default_rng(110)
     errors = []
     for _ in range(10):
         X = 0.6 * rng.normal(size=(2, 2))
-        lhs = sx.john_operator(phi, X, fd)
+        lhs = sx.john_operator(phi, X, h)
         rhs = 0.25 * sx.box_diag(lambda x: phi(sx.diag_to_chart(x)),
-                                 sx.chart_to_diag(X), fd)
+                                 sx.chart_to_diag(X), h)
         errors.append(abs(lhs - rhs))
     worst = worst_residual(errors)
     tol = TOLERANCES["coordinate_consistency"]

@@ -10,6 +10,43 @@ from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
 from splitxray.defaults import DEFAULTS, TOLERANCES
 
 
+class KeyRecorder(dict):
+    """A dict that records every key read through []."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.fixture(scope="module")
+def default_runs():
+    """Each suite run once at DEFAULTS through cli._run_merged on recording
+    mappings: name -> (report, config keys and tolerance names the suite
+    read).  The report's environment reads every key after the suite, so
+    the reads are taken when the suite returns."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, suite in cli.SUITES.items():
+            cfg = cli._merge_config(name, {}, {})
+            cli._validate_config(cfg)
+            cfg = KeyRecorder(cfg)
+            cfg["tolerances"] = tolerances = KeyRecorder(cfg["tolerances"])
+            reads = []
+
+            def recorded(cfg, suite=suite, reads=reads, tolerances=tolerances):
+                checks = suite(cfg)
+                reads += [set(cfg.read), set(tolerances.read)]
+                return checks
+
+            mp.setitem(cli.SUITES, name, recorded)
+            runs[name] = (cli._run_merged(cfg), *reads)
+    return runs
+
+
 def strip_timestamp(text):
     payload = json.loads(text)
     del payload["timestamp"]
@@ -103,13 +140,13 @@ def test_config_file_merging_and_flag_override(tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": 7, "nodes": 32,
                                "tolerances": {"geometry_roundtrip": 1e-6}}))
     main(["geometry-roundtrip", "--config", str(cfg), "--seed", "8",
-          "--richardson", "off", "--state-a", "1,0,1j,0",
+          "--fd-step", "2e-3", "--state-a", "1,0,1j,0",
           "--tolerances", '{"john": 1e-5}'])
     payload = json.loads(capsys.readouterr().out)
     env = payload["environment"]
     assert env["seed"] == 8          # flag beats file
     assert env["nodes"] == 32        # file beats default
-    assert env["richardson"] is False
+    assert env["fd_step"] == 2e-3
     assert env["state_a"] == ["1", "0", "1j", "0"]
     assert env["tolerances"] == {**TOLERANCES, "geometry_roundtrip": 1e-6,
                                  "john": 1e-5}
@@ -138,14 +175,14 @@ def test_run_api_returns_report():
     assert report.environment["seed"] == 1
 
 
-def test_environment_records_every_input(tmp_path):
+def test_environment_records_every_input(tmp_path, default_runs):
     prefix = str(tmp_path / "design")
     report = run({"command": "reconstruct", "max_degree": 2, "n_frames": 12,
-                  "noise": 1e-9, "save_design": prefix})
-    assert report.environment["noise"] == 1e-9
+                  "save_design": prefix})
     assert report.environment["save_design"] == prefix
-    defaults = run({"command": "verify-coupled-box"}).environment
-    assert defaults["noise"] == 0.0 and defaults["save_design"] is None
+    for report, _, _ in default_runs.values():
+        assert set(report.environment) == {*DEFAULTS, "nodes_effective"}
+        assert report.environment["save_design"] is None
 
 
 # seeds at which neighbours with a narrow analyticity strip, or a John
@@ -159,12 +196,14 @@ def test_penrose_elementary_passes_at_formerly_failing_seeds(seed):
 def test_defaults_table_is_consistent():
     assert DEFAULTS["tolerances"] == TOLERANCES
     assert DEFAULTS["nodes"] == 64 and DEFAULTS["nodes_john"] == 128
-    assert DEFAULTS["fd_step"] == 1e-3 and DEFAULTS["richardson"] is True
+    assert DEFAULTS["fd_step"] == 1e-3
     assert set(CONFIG_SCHEMA["properties"]) == {*DEFAULTS, "command",
                                                 "output", "format"}
     assert xray.QuadratureSpec().n_nodes == DEFAULTS["nodes"]
-    assert operators.FDSpec() == operators.FDSpec(DEFAULTS["fd_step"],
-                                                  DEFAULTS["richardson"])
+    for operator in (operators.john_operator, operators.dn_residual,
+                     operators.coupled_box, operators.box_diag):
+        step = inspect.signature(operator).parameters["h"]
+        assert step.default == DEFAULTS["fd_step"]
     margin = inspect.signature(penrose.pole_safety).parameters["margin"]
     assert margin.default == DEFAULTS["pole_margin"]
 
@@ -173,7 +212,7 @@ def test_every_config_key_is_a_flag_of_every_subcommand():
     expected = {"--config"} | {"--" + key.replace("_", "-")
                                for key in CONFIG_SCHEMA["properties"]
                                if key != "command"}
-    assert len(expected) == 17
+    assert len(expected) == 15
     sub, = (a for a in cli._build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli.SUITES)
@@ -183,7 +222,7 @@ def test_every_config_key_is_a_flag_of_every_subcommand():
 
 
 @pytest.mark.parametrize("flag, value", [("--tolerances", '{"john": 1e-5'),
-                                         ("--richardson", "yes")])
+                                         ("--nodes", "many")])
 def test_unparsable_flag_exits_2(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["verify-selfdual", flag, value])
@@ -221,3 +260,49 @@ def test_environment_records_the_nodes_that_ran(monkeypatch, command, nodes,
     assert set(built) == {ran}
     assert report.environment["nodes"] == nodes
     assert report.environment["nodes_effective"] == ran
+
+
+def test_every_default_is_read_by_some_suite(default_runs):
+    assert all(report.overall for report, _, _ in default_runs.values())
+    config_read = set().union(*(keys for _, keys, _ in default_runs.values()))
+    assert set(DEFAULTS) <= config_read
+    # these tolerances are read by tests/test_acceptance.py only; a change
+    # that gives one of them a report check removes it here
+    tolerances_read = set().union(*(t for _, _, t in default_runs.values()))
+    assert set(TOLERANCES) - tolerances_read == {
+        "flagship_value", "chart_closed_form", "coordinate_consistency"}
+
+
+@pytest.mark.parametrize("state_a, state_b", [
+    ([1, 0, "1j", 0], ["1j", 0, 1, 0]),
+    (["1", "0", "1J", "0"], ["1J", "0", "1", "0"]),
+    (["1+0j", "0", "1j", "0"], ["1j", "-0", "1", "0.0"]),
+    ("1, 0, 1j, 0".split(","), " 1j,0,1,0".split(",")),
+])
+def test_penrose_anchor_for_every_spelling_of_the_default_state(
+        default_runs, state_a, state_b):
+    report = run({"command": "penrose-elementary", "state_a": state_a,
+                  "state_b": state_b})
+    default, _, _ = default_runs["penrose-elementary"]
+    assert report.checks == default.checks
+    assert report.checks[0].name == "penrose_value"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-selfdual", "--output"], "cannot write report"),
+    (["reconstruct", "--max-degree", "2", "--n-frames", "12",
+      "--save-design"], "cannot write the design matrix"),
+], ids=["output", "save-design"])
+def test_writing_to_a_missing_directory_exits_2(tmp_path, capsys, argv,
+                                                message):
+    assert main(argv + [str(tmp_path / "missing" / "report")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"seed"', "null"])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["verify-selfdual", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config file must hold a JSON object")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from splitxray.geometry import (DEGENERACY_RTOL, ComplexProjectivePoint,
-                                FlagPoint, Frame, GPoint, RealProjectivePoint,
+                                Frame, GPoint, RealProjectivePoint,
                                 chart_frame_rows, chart_from_plane, incidence,
                                 mu_inverse, mu_restrict, pi_project,
                                 plane_from_chart, plucker_embed)
@@ -197,12 +197,6 @@ def test_incidence_unique_plane_for_nonreal_line():
         if incidence(z, other, tol=1e-8):
             hits += 1
     assert hits == 0
-
-
-def test_flag_point_validation():
-    FlagPoint(RealProjectivePoint(E[0]), Frame(E[0], E[1]))
-    with pytest.raises(ValueError, match="not contained"):
-        FlagPoint(RealProjectivePoint(E[2]), Frame(E[0], E[1]))
 
 
 def test_mu0_fiber_is_two_parameter():

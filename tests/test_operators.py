@@ -7,10 +7,9 @@ from splitxray.fields import (HomogeneousFunction, basis_to_degree_minus_2,
 from splitxray.geometry import plane_from_chart
 from splitxray.instanton import connection_preset, gauge_transform, scalar_phase
 from splitxray.inversion import sample_frames
-from splitxray.operators import (ChartField, FDSpec, box_diag, chart_to_diag,
+from splitxray.operators import (ChartField, box_diag, chart_to_diag,
                                  coupled_box, diag_to_chart, dn_residual,
-                                 john_operator, partials_residual,
-                                 worst_residual)
+                                 john_operator, worst_residual)
 from splitxray.penrose import (contour_chart_field, contour_transform,
                                elementary_state)
 from splitxray.poly import Poly4
@@ -18,7 +17,7 @@ from splitxray.xray import (QuadratureSpec, equivariance_residual,
                             moment_chart_field, random_sl4, xray_chart_field,
                             xray_moments, xray_transform)
 
-FD = FDSpec(1e-3, True)
+H = 1e-3
 
 
 # ---- John operator -----------------------------------------------------------
@@ -28,18 +27,18 @@ def test_john_of_determinant_is_two():
     rng = np.random.default_rng(0)
     for _ in range(5):
         X = rng.normal(size=(2, 2))
-        assert abs(john_operator(phi, X, FD) - 2.0) < 1e-9
+        assert abs(john_operator(phi, X, H) - 2.0) < 1e-9
 
 
 def test_john_of_linear_field_is_zero():
     phi = lambda X: X[0, 0]
-    assert john_operator(phi, np.zeros((2, 2)), FD) == 0.0
+    assert john_operator(phi, np.zeros((2, 2)), H) == 0.0
 
 
 def test_john_annihilates_flagship_transform():
     phi = xray_chart_field(HomogeneousFunction.radial_power(-2),
                            QuadratureSpec(128))
-    value = john_operator(phi, np.zeros((2, 2)), FDSpec(1e-3, richardson=False))
+    value = john_operator(phi, np.zeros((2, 2)), H)
     assert abs(value) < 1e-6
 
 
@@ -48,9 +47,9 @@ def test_john_of_complex_field_is_john_of_real_and_imaginary_parts():
     phi = lambda X: (np.exp((0.3 + 0.8j) * X[0, 0] * X[1, 1])
                      / (2.0 + 1j * X[0, 1] + X[1, 0] ** 2))
     for X in 0.5 * np.random.default_rng(3).normal(size=(5, 2, 2)):
-        value = john_operator(phi, X, FD)
-        parts = (john_operator(lambda Y: phi(Y).real, X, FD)
-                 + 1j * john_operator(lambda Y: phi(Y).imag, X, FD))
+        value = john_operator(phi, X, H)
+        parts = (john_operator(lambda Y: phi(Y).real, X, H)
+                 + 1j * john_operator(lambda Y: phi(Y).imag, X, H))
         assert abs(value) > 0.1 and abs(value - parts) <= 1e-12 * abs(value)
 
 
@@ -78,7 +77,7 @@ def test_john_of_pulled_back_null_cone_field():
     rng = np.random.default_rng(2)
     for _ in range(5):
         X = rng.normal(size=(2, 2))
-        assert abs(john_operator(phi, X, FD) - 2.0) < 1e-8
+        assert abs(john_operator(phi, X, H) - 2.0) < 1e-8
 
 
 def test_john_equals_quarter_box_on_generic_fields():
@@ -89,9 +88,9 @@ def test_john_equals_quarter_box_on_generic_fields():
     rng = np.random.default_rng(3)
     for _ in range(10):
         X = 0.6 * rng.normal(size=(2, 2))
-        lhs = john_operator(phi, X, FD)
+        lhs = john_operator(phi, X, H)
         rhs = 0.25 * box_diag(lambda x: phi(diag_to_chart(x)),
-                              chart_to_diag(X), FD)
+                              chart_to_diag(X), H)
         assert abs(lhs - rhs) <= 1e-6
 
 
@@ -99,37 +98,31 @@ def test_john_equals_quarter_box_on_generic_fields():
 
 def test_box_diag_signature():
     psi = lambda x: x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2
-    assert abs(box_diag(psi, np.zeros(4), FD) - 8.0) < 1e-9
+    assert abs(box_diag(psi, np.zeros(4), H) - 8.0) < 1e-9
 
 
 def test_box_diag_mixed_term_vanishes():
     psi = lambda x: x[0] * x[2]
-    assert abs(box_diag(psi, np.array([0.3, 0.1, -0.2, 0.5]), FD)) < 1e-12
+    assert abs(box_diag(psi, np.array([0.3, 0.1, -0.2, 0.5]), H)) < 1e-12
 
 
 def test_box_diag_null_direction():
     psi = lambda x: np.exp(x[0] + x[2])
-    assert abs(box_diag(psi, np.zeros(4), FD)) < 1e-9
+    assert abs(box_diag(psi, np.zeros(4), H)) < 1e-9
 
 
 def test_fd_order_of_accuracy():
-    # halving h cuts the non-Richardson error by about 4
-    psi = lambda x: np.exp(0.7 * x[0]) * np.sin(1.3 * x[2]) + x[1] ** 4
-    x0 = np.array([0.3, -0.2, 0.5, 0.1])
-    exact = (0.49 * np.exp(0.7 * x0[0]) * np.sin(1.3 * x0[2]) + 12 * x0[1] ** 2
-             + 1.69 * np.exp(0.7 * x0[0]) * np.sin(1.3 * x0[2]))
-    r1 = abs(box_diag(psi, x0, FDSpec(2e-3, False)) - exact)
-    r2 = abs(box_diag(psi, x0, FDSpec(1e-3, False)) - exact)
-    assert 3.5 <= r1 / r2 <= 4.5
-
-
-def test_richardson_beats_plain_stencil():
+    # the extrapolated stencil is fourth order: halving a step where the
+    # truncation error dominates cuts it by about 16 (a plain central
+    # difference would give 4); at the default step rounding dominates
     psi = lambda x: np.exp(0.7 * x[0]) * np.sin(1.3 * x[2])
     x0 = np.array([0.3, -0.2, 0.5, 0.1])
     exact = (0.49 + 1.69) * np.exp(0.7 * x0[0]) * np.sin(1.3 * x0[2])
-    plain = abs(box_diag(psi, x0, FDSpec(1e-3, False)) - exact)
-    rich = abs(box_diag(psi, x0, FDSpec(1e-3, True)) - exact)
-    assert rich < plain / 100
+    r1 = abs(box_diag(psi, x0, 0.1) - exact)
+    r2 = abs(box_diag(psi, x0, 0.05) - exact)
+    assert 1e-6 < r1 < 1e-5
+    assert 14.0 <= r1 / r2 <= 18.0
+    assert abs(box_diag(psi, x0, H) - exact) < 1e-8
 
 
 # ---- coupled operator -----------------------------------------------------------
@@ -139,25 +132,25 @@ def test_coupled_box_flat_reduction_is_exact():
     psi = lambda x: x[0] ** 2 + 0.0j
     psi_vec = lambda x: np.array([x[0] ** 2 + 0.0j])
     zero = connection_preset("zero")
-    flat = box_diag(psi, x0, FD)
-    coupled = coupled_box(zero, psi_vec, x0, FD)
+    flat = box_diag(psi, x0, H)
+    coupled = coupled_box(zero, psi_vec, x0, H)
     assert flat == coupled[0]
     assert abs(flat - 2.0) < 1e-9
     # the float path agrees up to the dtype of the section values
-    assert abs(box_diag(lambda x: x[0] ** 2, x0, FD) - flat) < 1e-12
+    assert abs(box_diag(lambda x: x[0] ** 2, x0, H) - flat) < 1e-12
 
 
 def test_coupled_box_hand_value():
     conn = connection_preset("flagship-u1")
     one = lambda x: np.array([1.0 + 0.0j])
     x0 = np.array([1.0, 0.0, 2.0, 0.0])
-    value = coupled_box(conn, one, x0, FD)[0]
+    value = coupled_box(conn, one, x0, H)[0]
     assert abs(value - 3.0) < 1e-6
     # oracle: -x1^2 + x3^2 pointwise at other points
     rng = np.random.default_rng(4)
     for _ in range(5):
         x = rng.normal(size=4)
-        assert abs(coupled_box(conn, one, x, FD)[0]
+        assert abs(coupled_box(conn, one, x, H)[0]
                    - (-x[0] ** 2 + x[2] ** 2)) < 1e-6
 
 
@@ -171,8 +164,8 @@ def test_coupled_box_gauge_covariance():
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = 0.8 * rng.normal(size=4)
-        lhs = coupled_box(moved_conn, gpsi, x, FD)
-        rhs = g.at(x) @ coupled_box(conn, psi, x, FD)
+        lhs = coupled_box(moved_conn, gpsi, x, H)
+        rhs = g.at(x) @ coupled_box(conn, psi, x, H)
         assert np.linalg.norm(lhs - rhs) < 1e-6
 
 
@@ -188,8 +181,8 @@ def test_coupled_box_constant_matrix_gauge_covariance():
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = 0.8 * rng.normal(size=4)
-        lhs = coupled_box(moved, gpsi, x, FD)
-        rhs = m @ coupled_box(conn, psi, x, FD)
+        lhs = coupled_box(moved, gpsi, x, H)
+        rhs = m @ coupled_box(conn, psi, x, H)
         assert np.linalg.norm(lhs - rhs) < 1e-6
 
 
@@ -197,7 +190,7 @@ def test_coupled_box_dimension_mismatch():
     conn = connection_preset("su2-constant")
     one = lambda x: np.array([1.0 + 0.0j])
     with pytest.raises(ValueError, match="rank"):
-        coupled_box(conn, one, np.zeros(4), FD)
+        coupled_box(conn, one, np.zeros(4), H)
 
 
 # ---- moment consistency -----------------------------------------------------------
@@ -205,14 +198,14 @@ def test_coupled_box_dimension_mismatch():
 def test_dn_residual_zero_input():
     f = HomogeneousFunction.zero(degree=-3)
     m = moment_chart_field(f, 1)
-    assert dn_residual(m, np.zeros((2, 2)), FD) == 0.0
+    assert dn_residual(m, np.zeros((2, 2)), H) == 0.0
 
 
 def test_dn_residual_helicity_one():
     f = (HomogeneousFunction.from_poly(Poly4.monomial((1, 0, 0, 0)))
          * HomogeneousFunction.radial_power(-4))
     m = moment_chart_field(f, 1, QuadratureSpec(64))
-    assert dn_residual(m, np.zeros((2, 2)), FD) < 1e-6
+    assert dn_residual(m, np.zeros((2, 2)), H) < 1e-6
 
 
 def test_dn_residual_helicity_two_random_points():
@@ -222,33 +215,29 @@ def test_dn_residual_helicity_two_random_points():
     rng = np.random.default_rng(6)
     for _ in range(5):
         X = 0.4 * rng.normal(size=(2, 2))
-        assert dn_residual(m, X, FD) < 1e-6
+        assert dn_residual(m, X, H) < 1e-6
 
 
 def test_dn_residual_rejects_n_zero():
     f = HomogeneousFunction.radial_power(-2)
     m = moment_chart_field(f, 0)
     with pytest.raises(ValueError, match="john"):
-        dn_residual(m, np.zeros((2, 2)), FD)
+        dn_residual(m, np.zeros((2, 2)), H)
 
 
-# ---- chart fields ------------------------------------------------------------------
+# ---- steps ----------------------------------------------------------------------
 
-def test_chart_field_analytic_partials_check():
-    field = ChartField(
-        eval=lambda X: X[0, 0] ** 2 + 3.0 * X[1, 1],
-        partials=lambda X: np.array([[2 * X[0, 0], 0.0], [0.0, 3.0]]))
-    assert partials_residual(field, np.array([[0.4, -0.1], [0.2, 0.6]]), FD) < 1e-10
-    bad = ChartField(eval=field.eval,
-                     partials=lambda X: np.array([[1.0, 0.0], [0.0, 3.0]]))
-    assert partials_residual(bad, np.array([[0.4, -0.1], [0.2, 0.6]]), FD) > 0.1
-    with pytest.raises(ValueError, match="partials"):
-        partials_residual(ChartField(eval=field.eval), np.zeros((2, 2)), FD)
-
-
-def test_fdspec_validation():
-    with pytest.raises(ValueError, match="positive"):
-        FDSpec(h=0.0)
+@pytest.mark.parametrize("h", [0.0, -1e-3])
+def test_nonpositive_step_is_refused(h):
+    psi = lambda x: np.array([x[0] ** 2 + 0.0j])
+    m = moment_chart_field(HomogeneousFunction.zero(degree=-3), 1)
+    for apply in (lambda: john_operator(np.linalg.det, np.zeros((2, 2)), h),
+                  lambda: dn_residual(m, np.zeros((2, 2)), h),
+                  lambda: box_diag(psi, np.zeros(4), h),
+                  lambda: coupled_box(connection_preset("zero"), psi,
+                                      np.zeros(4), h)):
+        with pytest.raises(ValueError, match="positive"):
+            apply()
 
 
 def test_worst_residual_keeps_a_nan_that_comes_late():
@@ -267,7 +256,7 @@ def test_worst_residual_keeps_a_nan_that_comes_late():
 E11, E12, E21, E22 = (np.eye(4)[i].reshape(2, 2) for i in range(4))
 
 
-def john_by_points(value, X, fd):
+def john_by_points(value, X, h):
     def step(h):
         def mixed(da, db):
             return (value(X + h * (da + db)) - value(X + h * (da - db))
@@ -275,16 +264,16 @@ def john_by_points(value, X, fd):
                     ) / (4.0 * h * h)
         return mixed(E11, E22) - mixed(E12, E21)
 
-    v = step(fd.h)
-    return (4.0 * step(fd.h / 2.0) - v) / 3.0
+    v = step(h)
+    return (4.0 * step(h / 2.0) - v) / 3.0
 
 
-def first_diff_by_points(value, X, e, fd):
+def first_diff_by_points(value, X, e, h):
     def step(h):
         return (value(X + h * e) - value(X - h * e)) / (2.0 * h)
 
-    d = step(fd.h)
-    return (4.0 * step(fd.h / 2.0) - d) / 3.0
+    d = step(h)
+    return (4.0 * step(h / 2.0) - d) / 3.0
 
 
 def test_batched_john_on_xray_field_equals_per_point_loop():
@@ -295,7 +284,7 @@ def test_batched_john_on_xray_field_equals_per_point_loop():
         phi = xray_chart_field(f, q)
         value = lambda P: xray_transform(f, plane_from_chart(P), q)
         for X in 0.35 * rng.normal(size=(3, 2, 2)):
-            assert john_operator(phi, X, FD) == john_by_points(value, X, FD)
+            assert john_operator(phi, X, H) == john_by_points(value, X, H)
 
 
 def test_batched_john_on_contour_field_equals_per_point_loop():
@@ -306,7 +295,7 @@ def test_batched_john_on_contour_field_equals_per_point_loop():
     rng = np.random.default_rng(22)
     for dX in 0.1 * rng.normal(size=(5, 2, 2)):
         X = np.array([[0.0, 0.0], [1.0, 0.0]]) + dX
-        assert john_operator(phi, X, FD) == john_by_points(value, X, FD)
+        assert john_operator(phi, X, H) == john_by_points(value, X, H)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -321,11 +310,11 @@ def test_batched_dn_residual_equals_per_point_loop(n):
             def d(k, e):
                 return first_diff_by_points(
                     lambda P: xray_moments(f, plane_from_chart(P), n, q)[k],
-                    X, e, FD)
+                    X, e, H)
             expected = max(abs(d(k, row2) - d(k + 1, row1))
                            for k in range(n)
                            for row1, row2 in ((E11, E21), (E12, E22)))
-            assert dn_residual(m, X, FD) == expected
+            assert dn_residual(m, X, H) == expected
 
 
 def test_batched_equivariance_equals_per_frame_loop():
@@ -350,14 +339,14 @@ def test_one_point_field_sees_points_and_a_stacked_field_the_stencil():
         return np.linalg.det(X)
 
     X = np.array([[0.3, -0.2], [0.1, 0.4]])
-    plain = john_operator(ChartField(one), X, FD)
+    plain = john_operator(ChartField(one), X, H)
     assert seen == [(2, 2)] * 16
     seen.clear()
-    stacked = john_operator(ChartField(one, stacked=True), X, FD)
+    stacked = john_operator(ChartField(one, stacked=True), X, H)
     assert seen == [(16, 2, 2)] and stacked == plain
 
 
 def test_stacked_field_of_the_wrong_shape_is_refused():
     wrong = ChartField(lambda P: np.zeros(3), stacked=True)
     with pytest.raises(ValueError, match="16 chart points"):
-        john_operator(wrong, np.zeros((2, 2)), FD)
+        john_operator(wrong, np.zeros((2, 2)), H)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from splitxray.fields import HomogeneousFunction
 from splitxray.geometry import Frame, plane_from_chart
 from splitxray.inversion import sample_frames
-from splitxray.operators import FDSpec, john_operator
+from splitxray.operators import john_operator
 from splitxray.penrose import (PoleProximityError, TwistorRationalFunction,
                                contour_chart_field, contour_transform,
                                elementary_state, factor_orientation,
@@ -73,12 +73,11 @@ def test_john_residual_of_chart_field():
     state = elementary_state(A, B)
     phi = contour_chart_field(state, QuadratureSpec(128))
     X0 = np.array([[0.0, 0.0], [1.0, 0.0]])
-    fd = FDSpec(1e-3, True)
     rng = np.random.default_rng(2)
     for _ in range(5):
         X = X0 + 0.1 * rng.normal(size=(2, 2))
-        assert abs(john_operator(lambda Y: phi(Y).real, X, fd)) < 1e-6
-        assert abs(john_operator(lambda Y: phi(Y).imag, X, fd)) < 1e-6
+        assert abs(john_operator(lambda Y: phi(Y).real, X, 1e-3)) < 1e-6
+        assert abs(john_operator(lambda Y: phi(Y).imag, X, 1e-3)) < 1e-6
 
 
 def test_pole_refusal_names_factor_and_margin():
@@ -233,8 +232,7 @@ def test_real_integrand_matches_xray_engine_bitwise():
     assert pole_safety(state, frame).ok
     q = QuadratureSpec(64)
     value = contour_transform(state, frame, q)
-    real_eval = HomogeneousFunction(
-        -2, lambda x: state(x).real, lambda x: np.zeros(x.shape))
+    real_eval = HomogeneousFunction(-2, lambda x: state(x).real)
     assert xray_transform(real_eval, frame, q) == value.real
     assert abs(value.imag) < 1e-14 * abs(value.real)
     # both transforms ride the same quadrature engine on the same nodes
@@ -295,10 +293,10 @@ def test_contour_stencil_with_one_refused_point_raises():
                           margin=margin)
     phi = contour_chart_field(state, QuadratureSpec(64), margin)
     with pytest.raises(PoleProximityError, match="margin 9.992e-01"):
-        john_operator(phi, X, FDSpec(1e-3, True))
+        john_operator(phi, X, 1e-3)
     # at the default margin the same stencil is accepted
     assert abs(john_operator(contour_chart_field(state, QuadratureSpec(64)), X,
-                             FDSpec(1e-3, True))) < 1e-6
+                             1e-3)) < 1e-6
 
 
 def test_contour_chart_field_checks_homogeneity_when_built():

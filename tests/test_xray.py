@@ -157,8 +157,7 @@ def test_moments_parity_mismatch():
     # degree gate for n = 2 but must trip the parity probe
     odd = HomogeneousFunction(
         -4,
-        lambda x: x[..., 0] * np.einsum("...i,...i->...", x, x) ** -2.5,
-        lambda x: np.zeros(x.shape))
+        lambda x: x[..., 0] * np.einsum("...i,...i->...", x, x) ** -2.5)
     with pytest.raises(ValueError, match="parity"):
         xray_moments(odd, Frame(E[0], E[1]), 2)
     with pytest.raises(ValueError, match="parity"):
@@ -188,7 +187,7 @@ def test_moment_chart_field_checks_parity_once():
         shapes.append(x.shape)
         return x[..., 0] * np.einsum("...i,...i->...", x, x) ** -2
 
-    f = HomogeneousFunction(-3, value, lambda x: np.zeros(x.shape))
+    f = HomogeneousFunction(-3, value)
     q = QuadratureSpec(16)
     m = moment_chart_field(f, 1, q)
     X = np.array([[0.1, -0.2], [0.3, 0.05]])
