@@ -125,6 +125,17 @@ def test_fd_order_of_accuracy():
     assert abs(box_diag(psi, x0, H) - exact) < 1e-8
 
 
+def test_richardson_beats_plain_stencil():
+    # the plain central difference at the same step, written out here
+    psi = lambda x: np.exp(0.7 * x[0]) * np.sin(1.3 * x[2])
+    x0 = np.array([0.3, -0.2, 0.5, 0.1])
+    exact = (0.49 + 1.69) * np.exp(0.7 * x0[0]) * np.sin(1.3 * x0[2])
+    e = np.eye(4)
+    plain = sum(s * (psi(x0 + H * e[i]) - 2 * psi(x0) + psi(x0 - H * e[i]))
+                for i, s in enumerate((1, 1, -1, -1))) / H ** 2
+    assert abs(box_diag(psi, x0, H) - exact) < abs(plain - exact) / 100
+
+
 # ---- coupled operator -----------------------------------------------------------
 
 def test_coupled_box_flat_reduction_is_exact():
