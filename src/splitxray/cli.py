@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -156,6 +157,17 @@ _MIN_NODES = {"verify-weight-law": 128, "reconstruct": 128, "injectivity": 128}
 
 def _effective_nodes(cfg):
     return max(cfg["nodes"], _MIN_NODES.get(cfg["command"], 0))
+
+
+def _check_writable(path, what):
+    """Refuse a path whose directory is missing or not writable, so that a
+    suite stops before its work instead of after it."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {what}: no directory {directory}")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write {what}: directory {directory} "
+                          f"is not writable")
 
 
 def _chart_points(rng, count, scale=0.35):
@@ -430,6 +442,8 @@ def _suite_geometry_roundtrip(cfg):
 
 
 def _suite_reconstruct(cfg):
+    if cfg["save_design"]:
+        _check_writable(cfg["save_design"], "the design matrix")
     q = xray.QuadratureSpec(_effective_nodes(cfg))
     basis = inversion.transform_basis(cfg["max_degree"])
     if cfg["n_frames"] < len(basis):
@@ -550,6 +564,8 @@ def main(argv=None):
     cfg = _merge_config(flags["command"], file_config, flags)
     try:
         _validate_config(cfg)
+        if cfg["output"]:
+            _check_writable(cfg["output"], "report")
         report = _run_merged(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,12 +14,21 @@ half-width of the strip |Im theta| < d in which the integrand is analytic,
 which sets the e^(-n d) convergence of the n-node trapezoid rule.  The
 transform refuses frames whose circle passes within a margin of a pole
 rather than returning inaccurate values.
+
+A function keeps its covectors, from construction on, also as Python
+complex numbers, with their exponents and norms.  The pole geometry of
+pole_safety, factor_orientation, normalized_pole_margin and the checks of
+contour_transform and contour_chart_field reads every factor's alpha and
+beta from one helper that uses them, computed afresh by each call; nothing
+is cached per frame.  The integrand is never evaluated from alpha cos +
+beta sin: the transform integrates f on the circle points of the X-ray
+engine, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +47,16 @@ class TwistorRationalFunction:
     """scale * prod_k (A_k . Z)^{m_k} for complex covectors A_k.
 
     The homogeneity is the exponent sum; the pole locus is the union of the
-    hyperplanes A_k . Z = 0 over negative exponents.
+    hyperplanes A_k . Z = 0 over negative exponents.  Construction also
+    keeps the covectors as tuples of Python complex numbers, and their
+    exponents and norms.
     """
 
     factors: tuple
     scale: complex = 1.0 + 0.0j
+    _columns: tuple = field(init=False, repr=False, compare=False)
+    _exponents: tuple = field(init=False, repr=False, compare=False)
+    _norms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple((np.asarray(a, dtype=complex), int(m))
@@ -52,14 +66,25 @@ class TwistorRationalFunction:
                 raise ValueError("factor covectors must be complex 4-vectors")
             if not np.any(a):
                 raise ValueError("factor covector must be nonzero")
-        object.__setattr__(self, "factors", factors)
+        for name, value in (
+                ("factors", factors),
+                ("_columns", tuple(tuple(a.tolist()) for a, _ in factors)),
+                ("_exponents", tuple(m for _, m in factors)),
+                ("_norms", tuple(math.sqrt(np.vdot(a, a).real)
+                                 for a, _ in factors))):
+            object.__setattr__(self, name, value)
 
     @property
     def homogeneity(self):
-        return sum(m for _, m in self.factors)
+        return sum(self._exponents)
 
     def __call__(self, z):
-        """Evaluate at z of shape (..., 4), real or complex; vectorized."""
+        """Evaluate at z of shape (..., 4), real or complex; vectorized.
+
+        One matrix-vector product per factor: at two factors a single
+        product with a (4, K) covector matrix runs no faster, and its
+        matrix-matrix kernel raises the peak memory of a contour sweep.
+        """
         z = np.asarray(z, dtype=complex)
         out = np.full(z.shape[:-1], self.scale, dtype=complex)
         for a, m in self.factors:
@@ -102,9 +127,16 @@ class PoleSafetyReport:
         return all(m > self.margin for m in self.minima)
 
 
-def _circle_coefficients(a, u, v):
-    """(alpha, beta) with A . (u cos + v sin) = alpha cos + beta sin."""
-    return complex(np.dot(u, a)), complex(np.dot(v, a))
+def _coefficients(f: TwistorRationalFunction, u, v):
+    """Every factor's (alpha, beta), with A_k . (u cos + v sin) =
+    alpha_k cos + beta_k sin, for frame rows u and v given as lists of four
+    floats.  At this size sums of Python scalars cost less than array
+    products."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return [(u0 * a0 + u1 * a1 + u2 * a2 + u3 * a3,
+             v0 * a0 + v1 * a1 + v2 * a2 + v3 * a3)
+            for a0, a1, a2, a3 in f._columns]
 
 
 def _pole_geometry(alpha, beta):
@@ -133,8 +165,9 @@ def _pole_geometry(alpha, beta):
 
 
 def _pole_report(f: TwistorRationalFunction, u, v, margin) -> PoleSafetyReport:
-    geometry = [_pole_geometry(*_circle_coefficients(a, u, v))
-                for a, _ in f.factors]
+    """pole_safety for frame rows given as lists (see _coefficients)."""
+    geometry = [_pole_geometry(alpha, beta)
+                for alpha, beta in _coefficients(f, u, v)]
     return PoleSafetyReport(tuple(m for m, _ in geometry), margin,
                             tuple(d for _, d in geometry))
 
@@ -142,7 +175,7 @@ def _pole_report(f: TwistorRationalFunction, u, v, margin) -> PoleSafetyReport:
 def pole_safety(f: TwistorRationalFunction, frame: Frame,
                 margin=DEFAULTS["pole_margin"]) -> PoleSafetyReport:
     """Exact per-factor pole distances and strip half-widths (closed form)."""
-    return _pole_report(f, frame.u, frame.v, margin)
+    return _pole_report(f, frame.u.tolist(), frame.v.tolist(), margin)
 
 
 def _refuse_unsafe(report: PoleSafetyReport):
@@ -182,7 +215,7 @@ def contour_chart_field(f: TwistorRationalFunction,
 
     def phi(X):
         rows = chart_frame_rows(X)
-        for u, v in rows.reshape(-1, 2, 4):
+        for u, v in rows.reshape(-1, 2, 4).tolist():
             _refuse_unsafe(_pole_report(f, u, v, margin))
         return circle_integral(f(circle_points(rows, q)), q)
 
@@ -210,11 +243,9 @@ def factor_orientation(f: TwistorRationalFunction, frame: Frame):
     in the same component, where ratio laws such as the elementary-state
     wedge identity hold with one constant.
     """
-    signs = []
-    for a, _ in f.factors:
-        alpha, beta = _circle_coefficients(a, frame.u, frame.v)
-        signs.append(1 if (np.conj(alpha) * beta).imag > 0 else -1)
-    return tuple(signs)
+    return tuple(1 if (alpha.conjugate() * beta).imag > 0 else -1
+                 for alpha, beta in _coefficients(f, frame.u.tolist(),
+                                                  frame.v.tolist()))
 
 
 def normalized_pole_margin(f: TwistorRationalFunction, frame: Frame):
@@ -223,7 +254,8 @@ def normalized_pole_margin(f: TwistorRationalFunction, frame: Frame):
     Values of order one mean the quadrature converges fast; values near
     zero mean poles hug the circle and many nodes would be needed.
     """
-    report = pole_safety(f, frame)
-    scale = math.sqrt(max(np.dot(frame.u, frame.u), np.dot(frame.v, frame.v)))
-    return min(m / (math.sqrt(np.vdot(a, a).real) * scale)
-               for m, (a, _) in zip(report.minima, f.factors))
+    u, v = frame.u.tolist(), frame.v.tolist()
+    scale = max(math.hypot(*u), math.hypot(*v))
+    return min(_pole_geometry(alpha, beta)[0] / (norm * scale)
+               for (alpha, beta), norm in zip(_coefficients(f, u, v),
+                                              f._norms))

@@ -8,11 +8,12 @@ in scope.  No 1/(2pi) normalization is applied anywhere, so the flagship
 closed form is exactly 2*pi/sqrt(det Gram).
 
 A QuadratureSpec computes the cos and sin of its nodes once, when it is
-built; a transform then costs the circle points (two scaled columns and a
-sum), one evaluation of the integrand on them and one sum.  xray_transform
-keeps the read-only circle points of the last (frame, spec) it integrated,
-so a design matrix, which integrates every basis function over one frame
-before the next, builds each frame's circle once.  Being read-only, those
+built; a transform then costs the circle points (per coordinate, two
+scaled node rows and a sum), one evaluation of the integrand on them and
+one sum.  xray_transform keeps the read-only circle points of the last
+(frame, spec) it integrated, so a design matrix, which integrates every
+basis function over one frame before the next, builds each frame's circle
+once.  Being read-only, those
 points also let Poly4 and the radial factors reuse their power table and
 |x|^2 across the basis functions (see poly.frozen).
 
@@ -63,15 +64,21 @@ def circle_points(frame, q: QuadratureSpec):
     """Quadrature points u cos(theta_j) + v sin(theta_j).
 
     `frame` is a Frame, giving shape (n_nodes, 4), or a (..., 2, 4) stack of
-    frame rows (u, v), giving (..., n_nodes, 4).  Either way the points are
-    the same elementwise products and sum as np.outer(cos, u) +
-    np.outer(sin, v), so they equal that formula's bit for bit.
+    frame rows (u, v), giving (..., n_nodes, 4).  The points are built
+    coordinate-major, as rows u_i cos + v_i sin of shape (..., 4, n_nodes)
+    whose inner loops run over the nodes, and returned as a C-contiguous
+    (..., n_nodes, 4) copy that owns its data, so that a memo may key on it
+    once it is read-only (see poly.frozen).  They are the same elementwise
+    products and sum as np.outer(cos, u) + np.outer(sin, v), so they equal
+    that formula's bit for bit.
     """
     if isinstance(frame, Frame):
-        u, v = frame.u, frame.v
+        u, v = frame.u[:, None], frame.v[:, None]
     else:
-        u, v = frame[..., 0, None, :], frame[..., 1, None, :]
-    return q.cos[:, None] * u + q.sin[:, None] * v
+        u, v = frame[..., 0, :, None], frame[..., 1, :, None]
+    points = u * q.cos
+    points += v * q.sin
+    return points.swapaxes(-1, -2).copy()
 
 
 def circle_integral(values, q: QuadratureSpec):

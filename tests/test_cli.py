@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from splitxray import cli, operators, penrose, xray
+from splitxray import cli, inversion, operators, penrose, xray
 from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
 from splitxray.defaults import DEFAULTS, TOLERANCES
 
@@ -293,10 +293,16 @@ def test_penrose_anchor_for_every_spelling_of_the_default_state(
     (["reconstruct", "--max-degree", "2", "--n-frames", "12",
       "--save-design"], "cannot write the design matrix"),
 ], ids=["output", "save-design"])
-def test_writing_to_a_missing_directory_exits_2(tmp_path, capsys, argv,
-                                                message):
+def test_writing_to_a_missing_directory_exits_2(tmp_path, capsys,
+                                                monkeypatch, argv, message):
+    built = []
+    design_matrix = inversion.design_matrix
+    monkeypatch.setattr(inversion, "design_matrix",
+                        lambda *a, **k: built.append(1) or design_matrix(*a, **k))
     assert main(argv + [str(tmp_path / "missing" / "report")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    # the path is refused before the suite builds anything
+    assert built == []
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "3", '"seed"', "null"])

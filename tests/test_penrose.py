@@ -178,6 +178,92 @@ def test_factor_orientation_matches_its_reference_on_the_sweep_frames():
     assert count == 5000
 
 
+def _per_factor_reference(f, frame, q, margin):
+    """Pole minima, half-widths, normalized margin, refusal verdict,
+    covector-times-frame sizes, contour value and the trapezoid sum of |f|,
+    from per-factor formulas: one np.dot per coefficient, points built
+    node-major, one matrix-vector product per factor."""
+    minima, widths = [], []
+    for a, _ in f.factors:
+        alpha = complex(np.dot(frame.u, a))
+        beta = complex(np.dot(frame.v, a))
+        cross = np.conj(alpha) * beta
+        aa, bb = abs(alpha) ** 2, abs(beta) ** 2
+        lam_max = 0.5 * (aa + bb + math.hypot(aa - bb, 2.0 * cross.real))
+        minima.append(abs(cross.imag) / math.sqrt(lam_max))
+        widths.append(0.5 * math.atanh(2.0 * abs(cross.imag) / (aa + bb)))
+    scale = math.sqrt(max(np.dot(frame.u, frame.u), np.dot(frame.v, frame.v)))
+    norms = [math.sqrt(np.vdot(a, a).real) * scale for a, _ in f.factors]
+    points = q.cos[:, None] * frame.u + q.sin[:, None] * frame.v
+    points = points.astype(complex)
+    values = np.full(q.n_nodes, f.scale, dtype=complex)
+    for a, m in f.factors:
+        values = values * (points @ a) ** m
+    return (minima, widths, min(m / n for m, n in zip(minima, norms)),
+            all(m > margin for m in minima), norms,
+            values.sum() * (2.0 * np.pi / q.n_nodes),
+            np.abs(values).sum() * (2.0 * np.pi / q.n_nodes))
+
+
+def test_pole_geometry_and_values_match_per_factor_formulas():
+    # Near a pole a minimum is a small difference of products, so its
+    # rounding error is relative to the covector and frame size; relative
+    # to the minimum itself the subset of frames at normalized margin
+    # >= 0.01 agrees to 1e-13.  Likewise a transform that vanishes (both
+    # factors' zeros on one side) is rounding noise of the sum of |f|; on
+    # the components where it does not vanish it agrees to 1e-13 relative.
+    # The sweep frames are orthonormal; a fixed GL(2) move gives each one
+    # a twin with other lengths and a skew angle.
+    q, margin = QuadratureSpec(256), 0.05
+    g = np.array([[1.0, 0.4], [-0.3, 1.8]])
+    compared = refused = 0
+    for state, frames in _sweep_cases(3, n_states=3, frames_per_state=50):
+        for fr in (f for frame in frames for f in (frame, frame.transform(g))):
+            minima, widths, npm, ok, norms, value, size = (
+                _per_factor_reference(state, fr, q, margin))
+            report = pole_safety(state, fr, margin)
+            assert report.ok == ok
+            for got, want, norm in zip(report.minima, minima, norms):
+                assert abs(got - want) <= 1e-13 * norm
+            if npm < 0.01:
+                continue
+            assert_allclose(report.minima, minima, rtol=1e-13, atol=0)
+            assert_allclose(report.half_widths, widths, rtol=1e-13, atol=0)
+            assert normalized_pole_margin(state, fr) == pytest.approx(
+                npm, rel=1e-13, abs=0)
+            if not ok:
+                refused += 1
+                with pytest.raises(PoleProximityError):
+                    contour_transform(state, fr, q, margin)
+                continue
+            got = contour_transform(state, fr, q, margin)
+            assert abs(got - value) <= 1e-13 * size
+            if len(set(factor_orientation(state, fr))) == 2:
+                assert abs(got - value) <= 1e-13 * abs(value)
+                compared += 1
+    assert compared >= 100 and refused >= 5
+
+
+def test_rational_function_with_mixed_exponents_and_scale():
+    a = np.array([0.3 - 1.1j, 0.7, -0.2 + 0.4j, 1.3j])
+    b = np.array([1.0, -0.5 + 0.9j, 0.25j, -0.8])
+    scale = 2.5 - 0.75j
+    f = TwistorRationalFunction(((a, -3), (b, 1)), scale)
+    assert f.homogeneity == -2
+    rng = np.random.default_rng(8)
+    real = rng.normal(size=(3, 5, 4))
+    points = (real, real + 1j * rng.normal(size=(3, 5, 4)))
+    for z in points:
+        expected = np.array([scale * complex(x @ a) ** -3 * complex(x @ b)
+                             for x in z.reshape(-1, 4)]).reshape(3, 5)
+        assert_allclose(f(z), expected, rtol=1e-13, atol=0)
+        assert f(z).shape == (3, 5)
+        assert_allclose(f(z[1, 2]), expected[1, 2], rtol=1e-13, atol=0)
+        assert np.shape(f(z[1, 2])) == ()
+    # a scaled copy rebuilds its factors and scales every value
+    assert_allclose((0.5j * f)(points[1]), 0.5j * f(points[1]), rtol=1e-15)
+
+
 def test_half_widths_match_the_log_form():
     for state, frames in _sweep_cases(2, n_states=2, frames_per_state=50):
         for fr in frames:

@@ -242,6 +242,17 @@ def test_circle_points_broadcast_over_stacks_of_frame_rows():
         assert np.array_equal(pts.reshape(6, 32, 4)[i], circle_points(frame, q))
 
 
+def test_circle_points_are_c_contiguous_and_own_their_data():
+    # a memo keys only on arrays that own their data (poly.frozen)
+    q = QuadratureSpec(32)
+    frames = sample_frames(3, 5)
+    rows = np.array([[f.u, f.v] for f in frames])
+    for pts in (circle_points(frames[0], q), circle_points(rows, q),
+                circle_points(rows[:, :, ::-1], q)):
+        assert pts.flags.c_contiguous and pts.flags.owndata
+        assert pts.base is None
+
+
 def test_moment_vector_matches_components_and_xray_moments():
     f = (HomogeneousFunction.from_poly(Poly4.monomial((2, 0, 0, 0)))
          * HomogeneousFunction.radial_power(-6))
