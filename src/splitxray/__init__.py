@@ -3,8 +3,8 @@ Grassmannian of 2-planes in R^4, its ultrahyperbolic integrability, the
 twistor contour transform, and split self-dual gauge fields."""
 
 from .fields import (HarmonicPolynomial, HomogeneousFunction, WeightedField,
-                     basis_to_degree_minus_2, export_harmonic_basis_csv,
-                     harmonic_basis, weight_transform_residual)
+                     basis_to_degree_minus_2, harmonic_basis,
+                     weight_transform_residual)
 from .geometry import (ComplexProjectivePoint, Frame, GPoint, PlueckerPoint,
                        RealProjectivePoint, chart_from_plane, incidence,
                        mu_inverse, mu_restrict, pi_project, plane_from_chart,
@@ -15,16 +15,15 @@ from .instanton import (Connection, Curvature, GaugeMap, connection_preset,
 from .inversion import (DesignMatrix, InjectivityReport, ReconstructionReport,
                         design_matrix, injectivity_report, reconstruct,
                         sample_frames, save_design_matrix, transform_basis)
-from .operators import (ChartField, box_diag, chart_to_diag, coupled_box,
-                        diag_to_chart, dn_residual, john_operator)
+from .operators import (box_diag, chart_to_diag, coupled_box, diag_to_chart,
+                        dn_residual, john_operator)
 from .penrose import (PoleProximityError, PoleSafetyReport,
                       TwistorRationalFunction, contour_chart_field,
                       contour_transform, elementary_state, pole_safety,
                       wedge_pairing)
 from .poly import Poly4, exponents_of_degree
-from .xray import (MomentField, QuadratureSpec, equivariance_residual,
-                   moment_chart_field, random_gl2, random_sl4,
-                   xray_chart_field, xray_moments, xray_transform,
-                   xray_weighted_field)
+from .xray import (QuadratureSpec, equivariance_residual, moment_chart_field,
+                   random_gl2, random_sl4, xray_chart_field, xray_moments,
+                   xray_transform, xray_weighted_field)
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """The single table of defaults and check tolerances.
 
-Every CLI suite and the acceptance tests read from here; nothing else in
-the package hardcodes a tolerance.
+Every CLI suite and the acceptance tests read from here, and every
+tolerance is read by some suite; nothing else in the package hardcodes a
+tolerance.
 
 ================  ===========  ==========================================
 key               default      meaning
@@ -21,20 +22,15 @@ save_design       None         path prefix for the design-matrix CSV + JSON
 tolerances        TOLERANCES   per-check tolerances
 ================  ===========  ==========================================
 
-Tolerances (see TOLERANCES for the authoritative values):
-flagship_value 1e-12, chart_closed_form 1e-10, john 1e-6,
-weight_law 1e-9, equivariance 1e-9, moments 1e-6, reconstruction 1e-6,
-rank_defect 0, selfdual 1e-10, star_involution 1e-14,
-gauge_invariance 1e-8, coupled_box 1e-6, gauge_covariance 1e-6,
-penrose_value 1e-12, penrose_ratio_spread 1e-8, penrose_john 1e-6,
-geometry_roundtrip 1e-12, coordinate_consistency 1e-6.
-No suite reads flagship_value, chart_closed_form or coordinate_consistency;
-tests/test_acceptance.py checks them.
+Tolerances, one per check name before its ":" (see TOLERANCES for the
+authoritative values): john 1e-6, weight_law 1e-9, equivariance 1e-9,
+moments 1e-6, reconstruction 1e-6, rank_defect 0, selfdual 1e-10,
+star_involution 1e-14, gauge_invariance 1e-8, coupled_box 1e-6,
+gauge_covariance 1e-6, penrose_value 1e-12, penrose_ratio_spread 1e-8,
+penrose_john 1e-6, geometry_roundtrip 1e-12.
 """
 
 TOLERANCES = {
-    "flagship_value": 1e-12,
-    "chart_closed_form": 1e-10,
     "john": 1e-6,
     "weight_law": 1e-9,
     "equivariance": 1e-9,
@@ -50,7 +46,6 @@ TOLERANCES = {
     "penrose_ratio_spread": 1e-8,
     "penrose_john": 1e-6,
     "geometry_roundtrip": 1e-12,
-    "coordinate_consistency": 1e-6,
 }
 
 DEFAULTS = {

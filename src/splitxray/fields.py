@@ -11,7 +11,6 @@ appear.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -285,18 +284,3 @@ def weight_transform_residual(phi: WeightedField, frame: Frame, g):
     moved = phi(frame.transform(g))
     return abs(moved - abs(det) ** phi.weight * base) / (1.0 + abs(base))
 
-
-def export_harmonic_basis_csv(k, path):
-    """Write the degree-k basis to one CSV file.
-
-    Columns: index,e1,e2,e3,e4,coeff with one row per monomial; `index`
-    numbers the basis element the row belongs to.
-    """
-    basis = harmonic_basis(k)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "e1", "e2", "e3", "e4", "coeff"])
-        for idx, h in enumerate(basis):
-            for expo in sorted(h.poly.coeffs):
-                writer.writerow([idx, *expo, float(h.poly.coeffs[expo])])
-    return path

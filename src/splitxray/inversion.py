@@ -56,10 +56,6 @@ class InjectivityReport:
     n_frames: int
     seed: int
 
-    @property
-    def full_rank(self):
-        return self.rank == self.dimension
-
 
 def design_matrix(basis, frames, q: QuadratureSpec = QuadratureSpec(),
                   seed=None) -> DesignMatrix:

@@ -11,14 +11,16 @@ Every stencil here takes one positive step h, central differences at h
 and h/2, and Richardson-extrapolates them, (4 d(h/2) - d(h)) / 3, which
 cancels the leading error term and makes the result fourth order in h.
 
+A chart field is any callable that maps a stack of chart points of shape
+(m, 2, 2) to m values, shaped (m,) or (m, n+1), such as xray_chart_field,
+np.linalg.det or a function indexing X[..., i, j]; a stencil evaluates all
+its points in one call.
+
 Everything here verifies residuals of candidate solutions; nothing solves
 a PDE.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -53,49 +55,18 @@ def _extrapolate(d_h, d_half):
     return (4.0 * d_half - d_h) / 3.0
 
 
-@dataclass(frozen=True)
-class ChartField:
-    """A scalar (or complex) field on the 2x2 affine chart.
-
-    With `stacked`, eval takes a stack of chart points of shape
-    (..., 2, 2) and returns one value per point, shape (...); the stencils
-    below then evaluate all their points in one call.  Without it eval
-    takes one 2x2 point and is called once per point.
-    """
-
-    eval: Callable
-    stacked: bool = False
-
-    def __call__(self, X):
-        return self.eval(np.asarray(X, dtype=float))
-
-
-def _evaluate(phi, points):
-    """phi at each point of an (m, 2, 2) stack, as an array of leading
-    length m.
-
-    A stacked ChartField takes the whole stack at once.  Any other callable,
-    a ChartField of one point included, is called point by point, so a
-    function written for one 2x2 array never sees a stack.
-    """
-    if isinstance(phi, ChartField) and phi.stacked:
-        values = np.asarray(phi(points))
-        if values.shape[:1] != points.shape[:1]:
-            raise ValueError(f"stacked field returned shape {values.shape} "
-                             f"for {len(points)} chart points")
-        return values
-    return np.array([phi(X) for X in points])
-
-
 def _stencil(phi, X, offsets, h):
     """(steps, values): phi at X + s * offset for each step s of h and h/2
-    and each offset, in one evaluation; values has shape
-    (2, len(offsets), ...)."""
+    and each offset, in one call of phi on an (m, 2, 2) stack of chart
+    points; values has shape (2, len(offsets), ...)."""
     X = np.asarray(X, dtype=float)
     steps = _steps(h)
-    points = np.stack([X + s * offsets for s in steps])
-    values = _evaluate(phi, points.reshape(-1, 2, 2))
-    return steps, values.reshape(points.shape[:2] + values.shape[1:])
+    points = np.stack([X + s * offsets for s in steps]).reshape(-1, 2, 2)
+    values = np.asarray(phi(points))
+    if values.shape[:1] != points.shape[:1]:
+        raise ValueError(f"stacked field returned shape {values.shape} "
+                         f"for {len(points)} chart points")
+    return steps, values.reshape((len(steps), len(offsets)) + values.shape[1:])
 
 
 _UNITS = np.array([_E11, _E12, _E21, _E22])
@@ -126,8 +97,8 @@ def john_operator(phi, X, h=DEFAULTS["fd_step"]):
     """d2 phi / dX11 dX22 - d2 phi / dX12 dX21 by central differences at
     steps h and h/2, Richardson-extrapolated.
 
-    phi may be a ChartField or any callable of a 2x2 array; a stacked
-    ChartField evaluates all 16 stencil points in one call.
+    phi is a chart field (see the module docstring); all 16 stencil points
+    go to it in one call.
     """
     steps, v = _stencil(phi, X, _JOHN_OFFSETS, h)
     return _extrapolate(*[_mixed(v[i, :4], s) - _mixed(v[i, 4:], s)
@@ -223,17 +194,20 @@ def box_diag(psi, x, h=DEFAULTS["fd_step"]):
     return coupled_box(None, psi, np.asarray(x, dtype=float), h)
 
 
-def dn_residual(m, X, h=DEFAULTS["fd_step"]):
+def dn_residual(phi, X, h=DEFAULTS["fd_step"]):
     """Consistency residual of a moment field at a chart point.
 
-    For components phi_0..phi_n the transform identities give
-    d phi_k / dX_2j = d phi_{k+1} / dX_1j for j in {1,2} and k < n; the
-    returned value is the max absolute deviation over all (k, j).  The
-    moment vector is evaluated once per stencil point.
+    phi is a chart field whose values have a trailing axis of length n+1,
+    the components phi_0..phi_n, as moment_chart_field gives.  The
+    transform identities give d phi_k / dX_2j = d phi_{k+1} / dX_1j for j
+    in {1,2} and k < n; the returned value is the max absolute deviation
+    over all (k, j).  All 16 stencil points go to phi in one call.
     """
-    if m.n == 0:
+    d = _gradient(phi, X, h)
+    # rows of d: E11, E12 (row 1 of the chart), E21, E22 (row 2); columns
+    # phi_0..phi_n, none for a scalar field
+    n = d.shape[1] - 1 if d.ndim == 2 else 0
+    if n == 0:
         raise ValueError("no consistency relations at n = 0; use john_operator")
-    d = _gradient(m.vector, X, h)
-    # rows of d: E11, E12 (row 1 of the chart), E21, E22 (row 2)
     return worst_residual(abs(d[2 + j, k] - d[j, k + 1])
-                          for k in range(m.n) for j in range(2))
+                          for k in range(n) for j in range(2))

@@ -34,7 +34,6 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .geometry import Frame, chart_frame_rows
-from .operators import ChartField
 from .xray import QuadratureSpec, circle_integral, circle_points
 
 
@@ -115,7 +114,8 @@ class PoleSafetyReport:
     minima[k] is the exact minimum over the circle of |A_k . (u cos + v sin)|
     and half_widths[k] the half-width d_k of the strip |Im theta| < d_k free
     of that factor's zeros; the trapezoid error of the transform decays like
-    e^(-n min_k d_k).
+    e^(-n min_k d_k).  A factor with a nonnegative exponent puts no pole
+    anywhere, so its minimum and half-width are inf.
     """
 
     minima: tuple
@@ -164,10 +164,18 @@ def _pole_geometry(alpha, beta):
     return minimum, (math.inf if ratio == 1.0 else 0.5 * math.atanh(ratio))
 
 
+def _factor_geometry(f: TwistorRationalFunction, u, v):
+    """Every factor's (minimum, half-width) from _pole_geometry, for frame
+    rows given as lists (see _coefficients); (inf, inf) for a factor with a
+    nonnegative exponent, whose zeros are zeros of the integrand, not
+    poles."""
+    return [_pole_geometry(alpha, beta) if m < 0 else (math.inf, math.inf)
+            for (alpha, beta), m in zip(_coefficients(f, u, v), f._exponents)]
+
+
 def _pole_report(f: TwistorRationalFunction, u, v, margin) -> PoleSafetyReport:
     """pole_safety for frame rows given as lists (see _coefficients)."""
-    geometry = [_pole_geometry(alpha, beta)
-                for alpha, beta in _coefficients(f, u, v)]
+    geometry = _factor_geometry(f, u, v)
     return PoleSafetyReport(tuple(m for m, _ in geometry), margin,
                             tuple(d for _, d in geometry))
 
@@ -203,10 +211,10 @@ def contour_transform(f: TwistorRationalFunction, frame: Frame,
 
 def contour_chart_field(f: TwistorRationalFunction,
                         q: QuadratureSpec = QuadratureSpec(),
-                        margin=DEFAULTS["pole_margin"]) -> ChartField:
+                        margin=DEFAULTS["pole_margin"]):
     """Chart restriction of the contour transform (complex-valued), as a
-    stacked ChartField: chart points of shape (..., 2, 2) give values of
-    shape (...).  Every point's circle is checked for poles, as in
+    chart field (see operators): chart points of shape (..., 2, 2) give
+    values of shape (...).  Every point's circle is checked for poles, as in
     contour_transform, before f is evaluated on all of them at once.
     """
     if f.homogeneity != -2:
@@ -219,7 +227,7 @@ def contour_chart_field(f: TwistorRationalFunction,
             _refuse_unsafe(_pole_report(f, u, v, margin))
         return circle_integral(f(circle_points(rows, q)), q)
 
-    return ChartField(phi, stacked=True)
+    return phi
 
 
 def wedge_pairing(a, b, frame: Frame):
@@ -249,13 +257,14 @@ def factor_orientation(f: TwistorRationalFunction, frame: Frame):
 
 
 def normalized_pole_margin(f: TwistorRationalFunction, frame: Frame):
-    """Worst per-factor circle distance, scaled by covector and frame size.
+    """Worst per-factor circle distance, scaled by covector and frame size;
+    factors with a nonnegative exponent have no poles and count as inf.
 
     Values of order one mean the quadrature converges fast; values near
     zero mean poles hug the circle and many nodes would be needed.
     """
     u, v = frame.u.tolist(), frame.v.tolist()
     scale = max(math.hypot(*u), math.hypot(*v))
-    return min(_pole_geometry(alpha, beta)[0] / (norm * scale)
-               for (alpha, beta), norm in zip(_coefficients(f, u, v),
-                                              f._norms))
+    return min(minimum / (norm * scale)
+               for (minimum, _), norm in zip(_factor_geometry(f, u, v),
+                                             f._norms))

@@ -97,12 +97,6 @@ class Poly4:
     def monomial(cls, expo, c=1):
         return cls({tuple(expo): c})
 
-    @classmethod
-    def linear(cls, coefs):
-        """c1*x1 + c2*x2 + c3*x3 + c4*x4."""
-        expos = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        return cls({e: c for e, c in zip(expos, coefs)})
-
     def is_zero(self):
         return not self.coeffs
 

@@ -25,14 +25,13 @@ annihilated by the John operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .defaults import DEFAULTS
 from .fields import HomogeneousFunction, WeightedField
 from .geometry import Frame, chart_frame_rows, check_frames
-from .operators import ChartField, worst_residual
+from .operators import worst_residual
 from .poly import frozen
 
 
@@ -126,10 +125,10 @@ def xray_weighted_field(f: HomogeneousFunction,
 
 
 def xray_chart_field(f: HomogeneousFunction,
-                     q: QuadratureSpec = QuadratureSpec()) -> ChartField:
-    """The transform restricted to the affine chart, as a stacked ChartField:
-    chart points of shape (..., 2, 2) give values of shape (...), from one
-    evaluation of f on all their circles.
+                     q: QuadratureSpec = QuadratureSpec()):
+    """The transform restricted to the affine chart, as a chart field (see
+    operators): chart points of shape (..., 2, 2) give values of shape
+    (...), from one evaluation of f on all their circles.
 
     The result solves the John equation; see operators.john_operator.
     """
@@ -139,7 +138,7 @@ def xray_chart_field(f: HomogeneousFunction,
     def phi(X):
         return circle_integral(f(circle_points(chart_frame_rows(X), q)), q)
 
-    return ChartField(phi, stacked=True)
+    return phi
 
 
 _PARITY_PROBE = np.array([0.31, 0.67, -0.44, 0.52])
@@ -181,35 +180,21 @@ def xray_moments(f: HomogeneousFunction, frame: Frame, n,
     return _moments(f, frame, n, q)
 
 
-@dataclass(frozen=True)
-class MomentField:
-    """Chart restriction of the moment vector.
-
-    `vector` is a stacked ChartField whose values have a trailing axis of
-    length n+1; `components` are its n+1 scalar chart functions.
-    """
-
-    n: int
-    vector: ChartField
-
-    @property
-    def components(self):
-        return tuple(ChartField(lambda X, k=k: np.take(self.vector(X), k, axis=-1),
-                                stacked=True)
-                     for k in range(self.n + 1))
-
-
 def moment_chart_field(f: HomogeneousFunction, n,
-                       q: QuadratureSpec = QuadratureSpec()) -> MomentField:
-    """Moments composed with plane_from_chart: all n+1 of them from one
-    evaluation of f per circle, for chart points of shape (..., 2, 2).
+                       q: QuadratureSpec = QuadratureSpec()):
+    """Moments composed with plane_from_chart, as a chart field (see
+    operators): chart points of shape (..., 2, 2) give moment vectors of
+    shape (..., n + 1), all n+1 of them from one evaluation of f per circle.
 
     The input is checked once, here, not at every chart point.
     """
     n = int(n)
     _check_moment_input(f, n)
-    return MomentField(n=n, vector=ChartField(
-        lambda X: _moments(f, chart_frame_rows(X), n, q), stacked=True))
+
+    def phi(X):
+        return _moments(f, chart_frame_rows(X), n, q)
+
+    return phi
 
 
 def equivariance_residual(f: HomogeneousFunction, g, frames,

@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per check.  Criteria 2-9 run the CLI suites, the program's catalogue of
 checks, at seeds 102-109; criteria 1 and 10 check what no suite covers.
-Tolerances come from splitxray.defaults.TOLERANCES and are not relaxed
-anywhere.
+Tolerances come from splitxray.defaults.TOLERANCES, except those of
+criteria 1 and 10, which are pinned below; none is relaxed anywhere.
 """
 
 import numpy as np
@@ -15,6 +15,10 @@ from splitxray.defaults import TOLERANCES
 from splitxray.operators import worst_residual
 
 E = np.eye(4)
+# tolerances of the checks no suite runs
+FLAGSHIP_VALUE = 1e-12
+CHART_CLOSED_FORM = 1e-10
+COORDINATE_CONSISTENCY = 1e-6
 
 
 def announce(num, label, value, tol, ok):
@@ -46,7 +50,7 @@ def test_criterion_01_flagship_closed_form():
     f = sx.HomogeneousFunction.radial_power(-2)
     value = sx.xray_transform(f, sx.Frame(E[0], E[1]), sx.QuadratureSpec(64))
     err = abs(value - 2 * np.pi)
-    tol = TOLERANCES["flagship_value"]
+    tol = FLAGSHIP_VALUE
     announce("1a", "transform of |x|^-2 on (e1,e2) equals 2pi", err, tol, err < tol)
 
     phi = sx.xray_chart_field(f, sx.QuadratureSpec(64))
@@ -59,7 +63,7 @@ def test_criterion_01_flagship_closed_form():
         gram = (u @ u) * (v @ v) - (u @ v) ** 2
         errors.append(abs(phi(X) - 2 * np.pi / np.sqrt(gram)))
     worst = worst_residual(errors)
-    tol = TOLERANCES["chart_closed_form"]
+    tol = CHART_CLOSED_FORM
     announce("1b", "chart field matches 2pi/sqrt(G) at 20 seeded X",
              worst, tol, worst <= tol)
 
@@ -111,8 +115,9 @@ def test_criterion_09_geometry():
 
 def test_criterion_10_coordinate_consistency():
     def phi(X):
-        return (np.exp(0.4 * X[0, 0]) * np.cos(X[1, 1])
-                + X[0, 1] ** 3 - 2.0 * X[0, 1] * X[1, 0] + X[1, 0] ** 2)
+        return (np.exp(0.4 * X[..., 0, 0]) * np.cos(X[..., 1, 1])
+                + X[..., 0, 1] ** 3 - 2.0 * X[..., 0, 1] * X[..., 1, 0]
+                + X[..., 1, 0] ** 2)
 
     h = 1e-3
     rng = np.random.default_rng(110)
@@ -124,6 +129,6 @@ def test_criterion_10_coordinate_consistency():
                                  sx.chart_to_diag(X), h)
         errors.append(abs(lhs - rhs))
     worst = worst_residual(errors)
-    tol = TOLERANCES["coordinate_consistency"]
+    tol = COORDINATE_CONSISTENCY
     announce(10, "John operator equals quarter of the diagonal operator",
              worst, tol, worst <= tol)

@@ -10,41 +10,10 @@ from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
 from splitxray.defaults import DEFAULTS, TOLERANCES
 
 
-class KeyRecorder(dict):
-    """A dict that records every key read through []."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
 @pytest.fixture(scope="module")
 def default_runs():
-    """Each suite run once at DEFAULTS through cli._run_merged on recording
-    mappings: name -> (report, config keys and tolerance names the suite
-    read).  The report's environment reads every key after the suite, so
-    the reads are taken when the suite returns."""
-    runs = {}
-    with pytest.MonkeyPatch.context() as mp:
-        for name, suite in cli.SUITES.items():
-            cfg = cli._merge_config(name, {}, {})
-            cli._validate_config(cfg)
-            cfg = KeyRecorder(cfg)
-            cfg["tolerances"] = tolerances = KeyRecorder(cfg["tolerances"])
-            reads = []
-
-            def recorded(cfg, suite=suite, reads=reads, tolerances=tolerances):
-                checks = suite(cfg)
-                reads += [set(cfg.read), set(tolerances.read)]
-                return checks
-
-            mp.setitem(cli.SUITES, name, recorded)
-            runs[name] = (cli._run_merged(cfg), *reads)
-    return runs
+    """Each suite's report at DEFAULTS, by suite name."""
+    return {name: run({"command": name}) for name in cli.SUITES}
 
 
 def strip_timestamp(text):
@@ -121,7 +90,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_unknown_tolerance_name_exits_2(capsys):
-    assert main(["verify-selfdual", "--tolerances", '{"bogus": 1.0}']) == 2
+    # the last three are tolerances of checks that no suite runs
+    for name in ("bogus", "flagship_value", "chart_closed_form",
+                 "coordinate_consistency"):
+        assert main(["verify-selfdual", "--tolerances",
+                     json.dumps({name: 1.0})]) == 2
 
 
 def test_deterministic_reports(capsys):
@@ -180,7 +153,8 @@ def test_environment_records_every_input(tmp_path, default_runs):
     report = run({"command": "reconstruct", "max_degree": 2, "n_frames": 12,
                   "save_design": prefix})
     assert report.environment["save_design"] == prefix
-    for report, _, _ in default_runs.values():
+    assert {p.name for p in tmp_path.iterdir()} == {"design.csv", "design.json"}
+    for report in default_runs.values():
         assert set(report.environment) == {*DEFAULTS, "nodes_effective"}
         assert report.environment["save_design"] is None
 
@@ -263,14 +237,40 @@ def test_environment_records_the_nodes_that_ran(monkeypatch, command, nodes,
 
 
 def test_every_default_is_read_by_some_suite(default_runs):
-    assert all(report.overall for report, _, _ in default_runs.values())
-    config_read = set().union(*(keys for _, keys, _ in default_runs.values()))
-    assert set(DEFAULTS) <= config_read
-    # these tolerances are read by tests/test_acceptance.py only; a change
-    # that gives one of them a report check removes it here
-    tolerances_read = set().union(*(t for _, _, t in default_runs.values()))
-    assert set(TOLERANCES) - tolerances_read == {
-        "flagship_value", "chart_closed_form", "coordinate_consistency"}
+    assert all(report.overall for report in default_runs.values())
+    # a check reads the tolerance named by its name before ":";
+    # test_every_default_has_an_effect covers the DEFAULTS keys
+    assert {c.name.split(":")[0] for report in default_runs.values()
+            for c in report.checks} == set(TOLERANCES)
+
+
+# For each DEFAULTS key but save_design, whose files
+# test_environment_records_every_input checks: a cheap suite, and a second
+# value of the key that changes the name, value or tolerance of a check.
+SECOND_VALUES = {
+    "nodes": ("verify-moments", 32),
+    "nodes_john": ("verify-john", 64),
+    "fd_step": ("verify-coupled-box", 2e-3),
+    "seed": ("verify-coupled-box", 1),
+    "max_degree": ("verify-john", 2),
+    "n_frames": ("reconstruct", 40),
+    "connection": ("verify-selfdual", "asd-u1"),
+    "pole_margin": ("penrose-elementary", 0.9),
+    "state_a": ("penrose-elementary", ["1", "0", "2j", "0"]),
+    "state_b": ("penrose-elementary", ["2j", "0", "1", "0"]),
+    "tolerances": ("verify-selfdual", {"selfdual": 1e-3}),
+}
+
+
+def test_every_default_has_an_effect(default_runs):
+    def outcome(report):
+        return [(c.name, c.value, c.tolerance) for c in report.checks]
+
+    assert set(SECOND_VALUES) | {"save_design"} == set(DEFAULTS)
+    for key, (command, value) in SECOND_VALUES.items():
+        default = default_runs[command]
+        report = run({"command": command, key: value})
+        assert outcome(report) != outcome(default), key
 
 
 @pytest.mark.parametrize("state_a, state_b", [
@@ -283,7 +283,7 @@ def test_penrose_anchor_for_every_spelling_of_the_default_state(
         default_runs, state_a, state_b):
     report = run({"command": "penrose-elementary", "state_a": state_a,
                   "state_b": state_b})
-    default, _, _ = default_runs["penrose-elementary"]
+    default = default_runs["penrose-elementary"]
     assert report.checks == default.checks
     assert report.checks[0].name == "penrose_value"
 

@@ -1,4 +1,3 @@
-import csv
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from splitxray.fields import (HarmonicPolynomial, HomogeneousFunction,
-                              basis_to_degree_minus_2,
-                              export_harmonic_basis_csv, harmonic_basis,
+                              basis_to_degree_minus_2, harmonic_basis,
                               weight_transform_residual)
 from splitxray.geometry import Frame
 from splitxray.poly import Poly4, exponents_of_degree
@@ -245,25 +243,6 @@ def test_weight_transform_rejects_singular_g():
     phi = xray_weighted_field(f)
     with pytest.raises(ValueError, match="invertible"):
         weight_transform_residual(phi, Frame(E[0], E[1]), np.zeros((2, 2)))
-
-
-# ---- CSV export -----------------------------------------------------------------
-
-def test_basis_csv_round_trip(tmp_path):
-    path = tmp_path / "basis_deg2.csv"
-    export_harmonic_basis_csv(2, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "index,e1,e2,e3,e4,coeff"
-    tables = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            expo = tuple(int(row[f"e{i}"]) for i in range(1, 5))
-            tables.setdefault(int(row["index"]), {})[expo] = float(row["coeff"])
-    basis = harmonic_basis(2)
-    assert sorted(tables) == list(range(len(basis)))
-    x = np.random.default_rng(5).normal(size=4)
-    for i, h in enumerate(basis):
-        assert_allclose(Poly4(tables[i])(x), float(h.poly(x)), rtol=1e-12)
 
 
 def test_radial_factor_refuses_the_origin_for_products_and_sums():

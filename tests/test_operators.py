@@ -7,9 +7,9 @@ from splitxray.fields import (HomogeneousFunction, basis_to_degree_minus_2,
 from splitxray.geometry import plane_from_chart
 from splitxray.instanton import connection_preset, gauge_transform, scalar_phase
 from splitxray.inversion import sample_frames
-from splitxray.operators import (ChartField, box_diag, chart_to_diag,
-                                 coupled_box, diag_to_chart, dn_residual,
-                                 john_operator, worst_residual)
+from splitxray.operators import (box_diag, chart_to_diag, coupled_box,
+                                 diag_to_chart, dn_residual, john_operator,
+                                 worst_residual)
 from splitxray.penrose import (contour_chart_field, contour_transform,
                                elementary_state)
 from splitxray.poly import Poly4
@@ -31,7 +31,7 @@ def test_john_of_determinant_is_two():
 
 
 def test_john_of_linear_field_is_zero():
-    phi = lambda X: X[0, 0]
+    phi = lambda X: X[..., 0, 0]
     assert john_operator(phi, np.zeros((2, 2)), H) == 0.0
 
 
@@ -44,8 +44,8 @@ def test_john_annihilates_flagship_transform():
 
 def test_john_of_complex_field_is_john_of_real_and_imaginary_parts():
     # the stencils are linear, so one complex evaluation replaces two real ones
-    phi = lambda X: (np.exp((0.3 + 0.8j) * X[0, 0] * X[1, 1])
-                     / (2.0 + 1j * X[0, 1] + X[1, 0] ** 2))
+    phi = lambda X: (np.exp((0.3 + 0.8j) * X[..., 0, 0] * X[..., 1, 1])
+                     / (2.0 + 1j * X[..., 0, 1] + X[..., 1, 0] ** 2))
     for X in 0.5 * np.random.default_rng(3).normal(size=(5, 2, 2)):
         value = john_operator(phi, X, H)
         parts = (john_operator(lambda Y: phi(Y).real, X, H)
@@ -73,7 +73,8 @@ def test_john_of_pulled_back_null_cone_field():
     # psi = x1^2 + x2^2 - x3^2 - x4^2 has box_diag psi = 8, so the chart
     # pullback must have John value 8/4 = 2
     psi = lambda x: x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2
-    phi = lambda X: psi(chart_to_diag(X))
+    # chart_to_diag takes one point; phi calls it once per point of the stack
+    phi = lambda P: np.array([psi(chart_to_diag(X)) for X in P])
     rng = np.random.default_rng(2)
     for _ in range(5):
         X = rng.normal(size=(2, 2))
@@ -82,8 +83,9 @@ def test_john_of_pulled_back_null_cone_field():
 
 def test_john_equals_quarter_box_on_generic_fields():
     def phi(X):
-        return (np.exp(0.5 * X[0, 0]) * np.sin(X[1, 1])
-                + X[0, 1] ** 2 * X[1, 0] + 0.3 * X[0, 1] * X[1, 1])
+        return (np.exp(0.5 * X[..., 0, 0]) * np.sin(X[..., 1, 1])
+                + X[..., 0, 1] ** 2 * X[..., 1, 0]
+                + 0.3 * X[..., 0, 1] * X[..., 1, 1])
 
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -342,22 +344,25 @@ def test_batched_equivariance_equals_per_frame_loop():
         assert equivariance_residual(f, g, frames, q) == expected
 
 
-def test_one_point_field_sees_points_and_a_stacked_field_the_stencil():
+def test_a_field_sees_the_whole_stencil_in_one_call():
     seen = []
 
-    def one(X):
-        seen.append(X.shape)
-        return np.linalg.det(X)
+    def det(P):
+        seen.append(P.shape)
+        return np.linalg.det(P)
 
     X = np.array([[0.3, -0.2], [0.1, 0.4]])
-    plain = john_operator(ChartField(one), X, H)
-    assert seen == [(2, 2)] * 16
+    value = john_operator(det, X, H)
+    assert seen == [(16, 2, 2)]
+    assert value == john_by_points(np.linalg.det, X, H)
+    # a scalar field has no moment relations, like n = 0
     seen.clear()
-    stacked = john_operator(ChartField(one, stacked=True), X, H)
-    assert seen == [(16, 2, 2)] and stacked == plain
+    with pytest.raises(ValueError, match="john"):
+        dn_residual(det, X, H)
+    assert seen == [(16, 2, 2)]
 
 
 def test_stacked_field_of_the_wrong_shape_is_refused():
-    wrong = ChartField(lambda P: np.zeros(3), stacked=True)
-    with pytest.raises(ValueError, match="16 chart points"):
-        john_operator(wrong, np.zeros((2, 2)), H)
+    for wrong in (lambda P: np.zeros(3), lambda P: 1.0):
+        with pytest.raises(ValueError, match="16 chart points"):
+            john_operator(wrong, np.zeros((2, 2)), H)

@@ -144,6 +144,28 @@ def test_pole_distance_is_exactly_zero_on_a_real_factor():
     assert not report.ok
 
 
+def test_a_real_numerator_factor_is_not_a_pole():
+    # (C.Z) / ((A.Z)(B.Z)(D.Z)) with real C: the circle of (e1, e3) meets
+    # the zeros of C.Z, where the integrand vanishes and stays analytic
+    C, D = np.array([1.0, 0, 1, 0]), np.array([2.0, 0, 1j, 0])
+    f = TwistorRationalFunction(((C, 1), (A, -1), (B, -1), (D, -1)))
+    report = pole_safety(f, FLAGSHIP_FRAME)
+    assert report.ok
+    assert report.minima[0] == report.half_widths[0] == math.inf
+    # the poles are those of the denominator alone
+    poles = TwistorRationalFunction(f.factors[1:])
+    alone = pole_safety(poles, FLAGSHIP_FRAME)
+    assert report.minima[1:] == alone.minima
+    assert report.half_widths[1:] == alone.half_widths
+    assert (normalized_pole_margin(f, FLAGSHIP_FRAME)
+            == normalized_pole_margin(poles, FLAGSHIP_FRAME) > 0.1)
+    q = QuadratureSpec(64)
+    value = contour_transform(f, FLAGSHIP_FRAME, q)
+    assert value == circle_integral(f(circle_points(FLAGSHIP_FRAME, q)), q)
+    # residue calculus with z = e^(i theta) gives -2 pi (1 + i) / 3
+    assert_allclose(value, -2 * np.pi * (1 + 1j) / 3, rtol=1e-14)
+
+
 def test_refuses_a_pole_between_the_nodes_of_a_1024_grid():
     # A.(u cos + v sin) = sin(t - t0) + i eps cos(t - t0): the circle
     # passes within eps of the pole at t0, half a step between grid angles

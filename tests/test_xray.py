@@ -7,10 +7,10 @@ from splitxray.fields import (HomogeneousFunction, basis_to_degree_minus_2,
 from splitxray.geometry import Frame, plane_from_chart
 from splitxray.inversion import sample_frames
 from splitxray.poly import Poly4
-from splitxray.xray import (MomentField, QuadratureSpec, circle_integral,
-                            circle_points, equivariance_residual,
-                            moment_chart_field, random_sl4, xray_chart_field,
-                            xray_moments, xray_transform)
+from splitxray.xray import (QuadratureSpec, circle_integral, circle_points,
+                            equivariance_residual, moment_chart_field,
+                            random_sl4, xray_chart_field, xray_moments,
+                            xray_transform)
 
 E = np.eye(4)
 INV_SQ = HomogeneousFunction.radial_power(-2)
@@ -174,10 +174,8 @@ def test_moment_chart_field_components():
     f = (HomogeneousFunction.from_poly(Poly4.monomial((1, 0, 0, 0)))
          * HomogeneousFunction.radial_power(-4))
     m = moment_chart_field(f, 1)
-    assert isinstance(m, MomentField)
-    assert m.n == 1 and len(m.components) == 2
-    assert_allclose([m.components[0](np.zeros((2, 2))),
-                     m.components[1](np.zeros((2, 2)))], [np.pi, 0.0], atol=1e-13)
+    assert m(np.zeros((3, 2, 2))).shape == (3, 2)
+    assert_allclose(m(np.zeros((2, 2))), [np.pi, 0.0], atol=1e-13)
 
 
 def test_moment_chart_field_checks_parity_once():
@@ -191,11 +189,12 @@ def test_moment_chart_field_checks_parity_once():
     q = QuadratureSpec(16)
     m = moment_chart_field(f, 1, q)
     X = np.array([[0.1, -0.2], [0.3, 0.05]])
+    vector = m(X)
     for k in (0, 1):
-        assert m.components[k](X) == xray_moments(f, plane_from_chart(X), 1, q)[k]
+        assert vector[k] == xray_moments(f, plane_from_chart(X), 1, q)[k]
     # f(p) and f(-p) once for the field and once per xray_moments call
     assert shapes.count((4,)) == 2 + 2 * 2
-    assert shapes.count((16, 4)) == 2 + 2
+    assert shapes.count((16, 4)) == 1 + 2
 
 
 # ---- equivariance ---------------------------------------------------------------
@@ -259,8 +258,8 @@ def test_moment_vector_matches_components_and_xray_moments():
     q = QuadratureSpec(32)
     m = moment_chart_field(f, 2, q)
     X = 0.3 * np.random.default_rng(9).normal(size=(4, 2, 2))
-    vectors = m.vector(X)
+    vectors = m(X)
     assert vectors.shape == (4, 3)
     for Xi, vec in zip(X, vectors):
         assert np.array_equal(vec, xray_moments(f, plane_from_chart(Xi), 2, q))
-        assert [c(Xi) for c in m.components] == list(vec)
+        assert np.array_equal(m(Xi), vec)
