@@ -2,16 +2,16 @@
 Grassmannian of 2-planes in R^4, its ultrahyperbolic integrability, the
 twistor contour transform, and split self-dual gauge fields."""
 
-from .fields import (HarmonicPolynomial, HomogeneousFunction, WeightedField,
+from .fields import (HarmonicPolynomial, HomogeneousFunction,
                      basis_to_degree_minus_2, harmonic_basis,
                      weight_transform_residual)
-from .geometry import (ComplexProjectivePoint, Frame, GPoint, PlueckerPoint,
+from .geometry import (ComplexProjectivePoint, Frame, GPoint,
                        RealProjectivePoint, chart_from_plane, incidence,
                        mu_inverse, mu_restrict, pi_project, plane_from_chart,
-                       plucker_embed)
-from .instanton import (Connection, Curvature, GaugeMap, connection_preset,
+                       plucker_embed, quadric_residual)
+from .instanton import (Connection, GaugeMap, connection_preset,
                         constant_gauge, curvature, gauge_transform, hodge_star,
-                        scalar_phase, selfdual_residual)
+                        scalar_phase, selfdual_residual, two_form_norm)
 from .inversion import (DesignMatrix, InjectivityReport, ReconstructionReport,
                         design_matrix, injectivity_report, reconstruct,
                         sample_frames, save_design_matrix, transform_basis)
@@ -24,6 +24,6 @@ from .penrose import (PoleProximityError, PoleSafetyReport,
 from .poly import Poly4, exponents_of_degree
 from .xray import (QuadratureSpec, equivariance_residual, moment_chart_field,
                    random_gl2, random_sl4, xray_chart_field, xray_moments,
-                   xray_transform, xray_weighted_field)
+                   xray_transform)
 
 __version__ = "0.1.0"

@@ -199,11 +199,12 @@ def _suite_verify_weight_law(cfg):
         basis = fields.harmonic_basis(k)
         residuals = []
         for h in basis[: min(3, len(basis))]:
-            phi = xray.xray_weighted_field(fields.basis_to_degree_minus_2(h), q)
+            f = fields.basis_to_degree_minus_2(h)
             frame = inversion.sample_frames(1, int(rng.integers(2 ** 31)))[0]
             gs = [xray.random_gl2(rng) for _ in range(20)] + [swap]
-            residuals += [fields.weight_transform_residual(phi, frame, g)
-                          for g in gs]
+            residuals += [fields.weight_transform_residual(
+                lambda fr: xray.xray_transform(f, fr, q), -1, frame, g)
+                for g in gs]
         checks.append(_record(cfg, f"weight_law:deg{k}",
                               worst_residual(residuals)))
     return checks
@@ -254,11 +255,10 @@ def _suite_verify_selfdual(cfg):
                       instanton.selfdual_residual(conn, points))]
     residuals = []
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        F = instanton.Curvature(1, {p: np.array([[1.0 + 0.0j if p == (i, j) else 0.0]])
-                                    for p in ((0, 1), (0, 2), (0, 3),
-                                              (1, 2), (1, 3), (2, 3))})
+        F = np.zeros((4, 4, 1, 1), dtype=complex)
+        F[i, j], F[j, i] = 1.0, -1.0
         twice = instanton.hodge_star(instanton.hodge_star(F))
-        residuals.append((twice - F).norm())
+        residuals.append(instanton.two_form_norm(twice - F))
     checks.append(_record(cfg, "star_involution", worst_residual(residuals)))
     return checks
 
@@ -362,7 +362,10 @@ def _suite_penrose_elementary(cfg):
     if is_default:
         # closed-form anchor: this state integrates to -2 pi i on (e1, e3)
         frame = geometry.Frame(np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 1, 0]))
-        value = penrose.contour_transform(state, frame, q, cfg["pole_margin"])
+        try:
+            value = penrose.contour_transform(state, frame, q, cfg["pole_margin"])
+        except penrose.PoleProximityError as e:
+            raise ConfigError(f"pole_margin refuses the anchor frame: {e}") from e
         checks.append(_record(cfg, "penrose_value", abs(value - (-2j * np.pi))))
 
     base, chart_frame = _penrose_base_frame(state, rng, cfg["pole_margin"],
@@ -426,8 +429,8 @@ def _suite_geometry_roundtrip(cfg):
         back = geometry.mu_restrict(gp)
         roundtrip.append(1.0 - abs(complex(np.conj(z.rep) @ back.rep)))
         gp2 = geometry.mu_inverse(back)
-        p = geometry.plucker_embed(gp.plane).as_array()
-        p2 = geometry.plucker_embed(gp2.plane).as_array()
+        p = geometry.plucker_embed(gp.plane)
+        p2 = geometry.plucker_embed(gp2.plane)
         p, p2 = p / np.linalg.norm(p), p2 / np.linalg.norm(p2)
         roundtrip.append(min(np.linalg.norm(p - p2), np.linalg.norm(p + p2)))
         lam = rng.normal() + 1j * rng.normal()

@@ -1,5 +1,5 @@
-"""Homogeneous functions on R^4 minus the origin, harmonic bases, and
-determinant-weighted functions of frames.
+"""Homogeneous functions on R^4 minus the origin, harmonic bases, and the
+weight law of functions of frames.
 
 A HomogeneousFunction is an evaluator with an exact integer degree, built
 over a closed vocabulary: polynomials, even powers of |x|, their sums and
@@ -262,25 +262,15 @@ def basis_to_degree_minus_2(h: HarmonicPolynomial,
     return f if label is None else f.with_label(label)
 
 
-@dataclass(frozen=True)
-class WeightedField:
-    """A function of frames transforming with |det g|**weight under the
-    right GL(2) action on frames."""
-
-    weight: int
-    eval: Callable[[Frame], complex]
-
-    def __call__(self, frame: Frame):
-        return self.eval(frame)
-
-
-def weight_transform_residual(phi: WeightedField, frame: Frame, g):
-    """|phi(frame.g) - |det g|^w phi(frame)| / (1 + |phi(frame)|)."""
+def weight_transform_residual(phi: Callable[[Frame], complex], weight,
+                              frame: Frame, g):
+    """|phi(frame.g) - |det g|^weight phi(frame)| / (1 + |phi(frame)|) for a
+    function phi of frames that should transform with |det g|**weight under
+    the right GL(2) action on frames."""
     g = np.asarray(g, dtype=float)
     det = np.linalg.det(g)
     if det == 0.0:
         raise ValueError("g must be invertible")
     base = phi(frame)
     moved = phi(frame.transform(g))
-    return abs(moved - abs(det) ** phi.weight * base) / (1.0 + abs(base))
-
+    return abs(moved - abs(det) ** weight * base) / (1.0 + abs(base))

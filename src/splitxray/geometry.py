@@ -145,8 +145,8 @@ class Frame:
 
     def spans_same_plane(self, other, tol=PROJECTIVE_TOL):
         """Unordered-plane equality through unit Pluecker vectors up to sign."""
-        p = plucker_embed(self).as_array()
-        q = plucker_embed(other).as_array()
+        p = plucker_embed(self)
+        q = plucker_embed(other)
         p = p / np.linalg.norm(p)
         q = q / np.linalg.norm(q)
         return min(np.linalg.norm(p - q), np.linalg.norm(p + q)) <= tol
@@ -166,46 +166,31 @@ class Frame:
                 f"v={np.array2string(self.v, precision=6)})")
 
 
-@dataclass(frozen=True)
-class PlueckerPoint:
-    """The six 2x2 minors of a frame; satisfies the quadric relation."""
-
-    p12: float
-    p13: float
-    p14: float
-    p23: float
-    p24: float
-    p34: float
-
-    def as_array(self):
-        return np.array([self.p12, self.p13, self.p14,
-                         self.p23, self.p24, self.p34])
-
-    def quadric_residual(self):
-        """p12*p34 - p13*p24 + p14*p23, relative to the coordinate scale.
-
-        The coordinates are scaled to a largest magnitude of 1 before the
-        products, so tiny coordinates do not underflow to a 0 / 0.
-        """
-        p = self.as_array()
-        scale = float(np.max(np.abs(p)))
-        if scale == 0.0:
-            raise ValueError("all Pluecker coordinates vanish")
-        p12, p13, p14, p23, p24, p34 = p / scale
-        return abs(p12 * p34 - p13 * p24 + p14 * p23)
-
-
-def plucker_embed(f: Frame) -> PlueckerPoint:
-    """Six 2x2 minors p_ij = u_i v_j - u_j v_i of the frame."""
+def plucker_embed(f: Frame):
+    """The six 2x2 minors p_ij = u_i v_j - u_j v_i of the frame, as the
+    array (p12, p13, p14, p23, p24, p34); they satisfy the quadric
+    relation."""
     u, v = f.u, f.v
-    return PlueckerPoint(
-        p12=u[0] * v[1] - u[1] * v[0],
-        p13=u[0] * v[2] - u[2] * v[0],
-        p14=u[0] * v[3] - u[3] * v[0],
-        p23=u[1] * v[2] - u[2] * v[1],
-        p24=u[1] * v[3] - u[3] * v[1],
-        p34=u[2] * v[3] - u[3] * v[2],
-    )
+    return np.array([u[0] * v[1] - u[1] * v[0],
+                     u[0] * v[2] - u[2] * v[0],
+                     u[0] * v[3] - u[3] * v[0],
+                     u[1] * v[2] - u[2] * v[1],
+                     u[1] * v[3] - u[3] * v[1],
+                     u[2] * v[3] - u[3] * v[2]])
+
+
+def quadric_residual(p):
+    """p12*p34 - p13*p24 + p14*p23 of Pluecker coordinates p, relative to
+    the coordinate scale.
+
+    The coordinates are scaled to a largest magnitude of 1 before the
+    products, so tiny coordinates do not underflow to a 0 / 0.
+    """
+    scale = float(np.max(np.abs(p)))
+    if scale == 0.0:
+        raise ValueError("all Pluecker coordinates vanish")
+    p12, p13, p14, p23, p24, p34 = p / scale
+    return abs(p12 * p34 - p13 * p24 + p14 * p23)
 
 
 def _chart_rows(X):

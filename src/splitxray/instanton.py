@@ -83,64 +83,39 @@ class Connection:
         return cls(n, comps, parts, name=name)
 
 
-class Curvature:
-    """Antisymmetric collection F_ij, stored for i < j."""
-
-    def __init__(self, n, comps):
-        self.n = int(n)
-        self.comps = {pair: np.asarray(comps[pair]) for pair in _PAIRS}
-
-    def component(self, i, j):
-        if i == j:
-            return np.zeros((self.n, self.n), dtype=complex)
-        if i < j:
-            return self.comps[(i, j)]
-        return -self.comps[(j, i)]
-
-    def as_tensor(self):
-        t = np.zeros((4, 4, self.n, self.n), dtype=complex)
-        for (i, j), m in self.comps.items():
-            t[i, j] = m
-            t[j, i] = -m
-        return t
-
-    def norm(self):
-        """Frobenius norm over all components with i < j."""
-        return float(np.sqrt(sum(np.sum(np.abs(m) ** 2)
-                                 for m in self.comps.values())))
-
-    def __sub__(self, other):
-        return Curvature(self.n, {p: self.comps[p] - other.comps[p]
-                                  for p in _PAIRS})
-
-
-def curvature(A: Connection, x) -> Curvature:
+def curvature(A: Connection, x):
     """F_ij = d_i A_j - d_j A_i + [A_i, A_j], from the connection's exact
-    partials."""
+    partials, as a complex (4, 4, n, n) array antisymmetric in its first two
+    axes."""
     x = np.asarray(x, dtype=float)
     coeffs = [A.coefficient(i, x) for i in range(4)]
-    comps = {}
+    F = np.zeros((4, 4, A.n, A.n), dtype=complex)
     for i, j in _PAIRS:
-        comps[(i, j)] = (A.partial(i, j, x) - A.partial(j, i, x)
-                         + coeffs[i] @ coeffs[j] - coeffs[j] @ coeffs[i])
-    return Curvature(A.n, comps)
+        F[i, j] = (A.partial(i, j, x) - A.partial(j, i, x)
+                   + coeffs[i] @ coeffs[j] - coeffs[j] @ coeffs[i])
+        F[j, i] = -F[i, j]
+    return F
 
 
-def hodge_star(F: Curvature) -> Curvature:
-    """(*F)_ij = 1/2 eps_ijkl g^km g^ln F_mn for the split metric.
+def two_form_norm(F):
+    """Frobenius norm of a (4, 4, n, n) 2-form over its components i < j."""
+    return float(np.sqrt(sum(np.sum(np.abs(F[i, j]) ** 2) for i, j in _PAIRS)))
+
+
+def hodge_star(F):
+    """(*F)_ij = 1/2 eps_ijkl g^km g^ln F_mn for the split metric, on a
+    (4, 4, n, n) 2-form.
 
     Squares to the identity (split signature).
     """
-    t = F.as_tensor()
-    starred = 0.5 * np.einsum("ijkl,k,l,klab->ijab",
-                              LEVI_CIVITA, METRIC_DIAG, METRIC_DIAG, t)
-    return Curvature(F.n, {(i, j): starred[i, j] for i, j in _PAIRS})
+    return 0.5 * np.einsum("ijkl,k,l,klab->ijab",
+                           LEVI_CIVITA, METRIC_DIAG, METRIC_DIAG, F)
 
 
 def selfdual_residual(A: Connection, points):
     """Max over points of ||*F - F||; zero identifies a split instanton."""
     curvatures = (curvature(A, x) for x in points)
-    return worst_residual((hodge_star(F) - F).norm() for F in curvatures)
+    return worst_residual(two_form_norm(hodge_star(F) - F) for F in curvatures)
 
 
 class GaugeMap:

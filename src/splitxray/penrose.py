@@ -119,8 +119,8 @@ class PoleSafetyReport:
     """
 
     minima: tuple
-    margin: float = DEFAULTS["pole_margin"]
-    half_widths: tuple = ()
+    margin: float
+    half_widths: tuple
 
     @property
     def ok(self):

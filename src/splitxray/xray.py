@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import DEFAULTS
-from .fields import HomogeneousFunction, WeightedField
+from .fields import HomogeneousFunction
 from .geometry import Frame, chart_frame_rows, check_frames
 from .operators import worst_residual
 from .poly import frozen
@@ -114,14 +114,6 @@ def xray_transform(f: HomogeneousFunction, frame: Frame,
     if f.degree != -2:
         raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
     return circle_integral(f(_frame_circle(frame, q)), q)
-
-
-def xray_weighted_field(f: HomogeneousFunction,
-                        q: QuadratureSpec = QuadratureSpec()) -> WeightedField:
-    """The transform packaged as a weight -1 field on frames."""
-    if f.degree != -2:
-        raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
-    return WeightedField(weight=-1, eval=lambda frame: xray_transform(f, frame, q))
 
 
 def xray_chart_field(f: HomogeneousFunction,

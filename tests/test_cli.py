@@ -61,6 +61,13 @@ def test_injectivity_with_too_few_frames_exits_2(capsys):
     assert "10" in capsys.readouterr().err
 
 
+def test_pole_margin_that_refuses_the_anchor_exits_2(capsys):
+    # the anchor frame's circle passes at distance 1.0 from the state's poles
+    assert main(["penrose-elementary", "--pole-margin", "10"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: pole_margin refuses the anchor frame")
+
+
 def test_invalid_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"nodes": 2}))

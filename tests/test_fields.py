@@ -11,7 +11,7 @@ from splitxray.fields import (HarmonicPolynomial, HomogeneousFunction,
                               weight_transform_residual)
 from splitxray.geometry import Frame
 from splitxray.poly import Poly4, exponents_of_degree
-from splitxray.xray import QuadratureSpec, random_gl2, xray_weighted_field
+from splitxray.xray import QuadratureSpec, random_gl2, xray_transform
 
 E = np.eye(4)
 
@@ -202,47 +202,64 @@ def test_degree_minus_2_parity_and_scaling():
         assert_allclose(f(3.0 * x), f(x) / 9.0, rtol=1e-12)
 
 
-# ---- weighted fields -----------------------------------------------------------
+# ---- the weight law ------------------------------------------------------------
+
+def transform_of(f, q=QuadratureSpec()):
+    """The X-ray transform of f as a function of frames."""
+    return lambda frame: xray_transform(f, frame, q)
+
 
 def test_weight_law_identity_and_closed_form():
     f = HomogeneousFunction.radial_power(-2)
-    phi = xray_weighted_field(f, QuadratureSpec(64))
+    phi = transform_of(f, QuadratureSpec(64))
     frame = Frame(E[0], E[1])
-    assert weight_transform_residual(phi, frame, np.eye(2)) == 0.0
+    assert weight_transform_residual(phi, -1, frame, np.eye(2)) == 0.0
     # closed-form oracle: 2 pi / sqrt(det Gram)
     g = np.diag([2.0, 3.0])
     moved = frame.transform(g)
     gram = moved.matrix() @ moved.matrix().T
     assert_allclose(phi(moved), 2 * np.pi / np.sqrt(np.linalg.det(gram)),
                     atol=1e-12)
-    assert weight_transform_residual(phi, frame, g) < 1e-10
+    assert weight_transform_residual(phi, -1, frame, g) < 1e-10
 
 
 def test_weight_law_negative_determinant():
     f = HomogeneousFunction.radial_power(-2)
-    phi = xray_weighted_field(f, QuadratureSpec(64))
+    phi = transform_of(f, QuadratureSpec(64))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert weight_transform_residual(phi, Frame(E[0], E[1]), swap) < 1e-10
+    assert weight_transform_residual(phi, -1, Frame(E[0], E[1]), swap) < 1e-10
+
+
+def test_weight_law_fails_at_the_wrong_weight():
+    # the transform has weight -1; with |det g| = 2 and phi(E0, E1) = 2 pi,
+    # weight -2 leaves |2 pi / 2 - 2 pi / 4| / (1 + 2 pi)
+    phi = transform_of(HomogeneousFunction.radial_power(-2), QuadratureSpec(64))
+    frame = Frame(E[0], E[1])
+    g = np.array([[1.0, 1.0], [-0.5, 1.5]])
+    assert np.linalg.det(g) == 2.0
+    assert weight_transform_residual(phi, -1, frame, g) < 1e-9
+    assert_allclose(weight_transform_residual(phi, -2, frame, g),
+                    0.5 * np.pi / (1 + 2 * np.pi), rtol=1e-12)
 
 
 def test_weight_law_random_g_including_reflections():
     rng = np.random.default_rng(4)
     f = basis_to_degree_minus_2(harmonic_basis(2)[5])
-    phi = xray_weighted_field(f, QuadratureSpec(128))
+    phi = transform_of(f, QuadratureSpec(128))
     frame = Frame([1.0, 0.2, -0.1, 0.4], [0.0, 1.0, 0.3, -0.2])
     seen_negative = False
     for _ in range(20):
         g = random_gl2(rng)
         seen_negative = seen_negative or np.linalg.det(g) < 0
-        assert weight_transform_residual(phi, frame, g) <= 1e-9
+        assert weight_transform_residual(phi, -1, frame, g) <= 1e-9
     assert seen_negative
 
 
 def test_weight_transform_rejects_singular_g():
     f = HomogeneousFunction.radial_power(-2)
-    phi = xray_weighted_field(f)
     with pytest.raises(ValueError, match="invertible"):
-        weight_transform_residual(phi, Frame(E[0], E[1]), np.zeros((2, 2)))
+        weight_transform_residual(transform_of(f), -1, Frame(E[0], E[1]),
+                                  np.zeros((2, 2)))
 
 
 def test_radial_factor_refuses_the_origin_for_products_and_sums():

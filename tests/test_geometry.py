@@ -8,7 +8,8 @@ from splitxray.geometry import (DEGENERACY_RTOL, ComplexProjectivePoint,
                                 Frame, GPoint, RealProjectivePoint,
                                 chart_frame_rows, chart_from_plane, incidence,
                                 mu_inverse, mu_restrict, pi_project,
-                                plane_from_chart, plucker_embed)
+                                plane_from_chart, plucker_embed,
+                                quadric_residual)
 
 E = np.eye(4)
 
@@ -25,23 +26,22 @@ def minors_oracle(u, v):
 # ---- Pluecker embedding ----------------------------------------------------
 
 def test_plucker_standard_plane():
-    p = plucker_embed(Frame(E[0], E[1]))
-    assert_allclose(p.as_array(), [1, 0, 0, 0, 0, 0])
+    assert_allclose(plucker_embed(Frame(E[0], E[1])), [1, 0, 0, 0, 0, 0])
 
 
 def test_plucker_example_frame():
     f = Frame([1, 0, 1, 0], [0, 1, 0, 1])
     p = plucker_embed(f)
-    assert_allclose(p.as_array(), [1, 0, 1, -1, 0, 1])
-    assert p.quadric_residual() == 0.0
-    assert_allclose(p.as_array(), minors_oracle(f.u, f.v))
+    assert_allclose(p, [1, 0, 1, -1, 0, 1])
+    assert quadric_residual(p) == 0.0
+    assert_allclose(p, minors_oracle(f.u, f.v))
 
 
 def test_plucker_scales_by_det():
     f = Frame([1, 0, 1, 0], [0, 1, 0, 1])
     g = np.diag([2.0, 3.0])
-    assert_allclose(plucker_embed(f.transform(g)).as_array(),
-                    6.0 * plucker_embed(f).as_array(), atol=1e-14)
+    assert_allclose(plucker_embed(f.transform(g)), 6.0 * plucker_embed(f),
+                    atol=1e-14)
 
 
 vec4 = st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=4)
@@ -61,8 +61,8 @@ def test_plucker_quadric_property(u, v):
     if s[1] <= 1e-6 * s[0]:
         return
     f = Frame(u, v)
-    assert plucker_embed(f).quadric_residual() <= 1e-12
-    assert_allclose(plucker_embed(f).as_array(), minors_oracle(u, v), atol=1e-12)
+    assert quadric_residual(plucker_embed(f)) <= 1e-12
+    assert_allclose(plucker_embed(f), minors_oracle(u, v), atol=1e-12)
 
 
 def test_degenerate_frame_rejected():
@@ -106,7 +106,7 @@ def test_chart_rejects_out_of_chart_plane():
 def test_pi_project_basic():
     z = ComplexProjectivePoint(E[0] + 1j * E[1])
     f = pi_project(z)
-    assert plucker_embed(f).quadric_residual() <= 1e-12
+    assert quadric_residual(plucker_embed(f)) <= 1e-12
     assert f.spans_same_plane(Frame(E[0], E[1]))
     assert f.orientation_sign(Frame(E[0], E[1])) == 1.0
 

@@ -3,31 +3,37 @@ import pytest
 from numpy.testing import assert_allclose
 
 from splitxray.instanton import (LEVI_CIVITA, METRIC_DIAG, Connection,
-                                 Curvature, connection_preset, constant_gauge,
-                                 curvature, gauge_transform, hodge_star,
-                                 scalar_phase, selfdual_residual)
+                                 connection_preset, constant_gauge, curvature,
+                                 gauge_transform, hodge_star, scalar_phase,
+                                 selfdual_residual, two_form_norm)
 from splitxray.poly import Poly4
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def basis_two_form(pair, value=1.0 + 0.0j):
-    return Curvature(1, {p: np.array([[value if p == pair else 0.0j]])
-                         for p in PAIRS})
+def two_form(n, comps):
+    """The (4, 4, n, n) 2-form with F_ij = comps[(i, j)] for i < j."""
+    F = np.zeros((4, 4, n, n), dtype=complex)
+    for (i, j), m in comps.items():
+        F[i, j], F[j, i] = m, -m
+    return F
+
+
+def basis_two_form(pair):
+    return two_form(1, {pair: 1.0})
 
 
 def hodge_oracle(F):
     """Brute-force (*F)_ij = 1/2 eps_ijkl g^kk g^ll F_kl by index loops."""
-    t = F.as_tensor()
-    out = np.zeros_like(t)
+    out = np.zeros_like(F)
     for i in range(4):
         for j in range(4):
             for k in range(4):
                 for l in range(4):
                     out[i, j] += 0.5 * (LEVI_CIVITA[i, j, k, l]
                                         * METRIC_DIAG[k] * METRIC_DIAG[l]
-                                        * t[k, l])
-    return Curvature(F.n, {(i, j): out[i, j] for i, j in PAIRS})
+                                        * F[k, l])
+    return out
 
 
 # ---- curvature ---------------------------------------------------------------
@@ -38,25 +44,25 @@ def test_flagship_curvature_components():
     for _ in range(3):
         x = rng.normal(size=4)
         F = curvature(conn, x)
-        assert_allclose(F.component(0, 1), [[1j]], atol=1e-14)
-        assert_allclose(F.component(2, 3), [[1j]], atol=1e-14)
+        assert_allclose(F[0, 1], [[1j]], atol=1e-14)
+        assert_allclose(F[2, 3], [[1j]], atol=1e-14)
         for pair in ((0, 2), (0, 3), (1, 2), (1, 3)):
-            assert_allclose(F.component(*pair), [[0.0]], atol=1e-14)
+            assert_allclose(F[pair], [[0.0]], atol=1e-14)
 
 
 def test_pure_gauge_is_flat():
     for name in ("pure-gauge", "pure-gauge(x1*x2)"):
         conn = connection_preset(name)
         x = np.array([0.4, 0.1, -0.3, 0.7])
-        assert curvature(conn, x).norm() < 1e-13
+        assert two_form_norm(curvature(conn, x)) < 1e-13
 
 
 def test_constant_su2_curvature_is_commutator():
     conn = connection_preset("su2-constant")
     F = curvature(conn, np.zeros(4))
     H = np.array([[1.0, 0.0], [0.0, -1.0]])
-    assert_allclose(F.component(0, 1), H, atol=1e-14)
-    assert_allclose(F.component(2, 3), np.zeros((2, 2)), atol=1e-14)
+    assert_allclose(F[0, 1], H, atol=1e-14)
+    assert_allclose(F[2, 3], np.zeros((2, 2)), atol=1e-14)
 
 
 def test_curvature_fd_matches_analytic():
@@ -73,9 +79,15 @@ def test_curvature_fd_matches_analytic():
 
 
 def test_curvature_antisymmetry_access():
-    F = basis_two_form((0, 1))
-    assert_allclose(F.component(1, 0), -F.component(0, 1))
-    assert_allclose(F.component(2, 2), np.zeros((1, 1)))
+    x = np.array([0.3, 0.1, -0.2, 0.5])
+    F = curvature(connection_preset("su2-constant"), x)
+    assert F.shape == (4, 4, 2, 2) and F.dtype == complex
+    assert np.array_equal(F, -F.swapaxes(0, 1))
+
+
+def test_two_form_norm_counts_each_pair_once():
+    F = two_form(2, {(0, 1): np.eye(2), (1, 3): 2j * np.eye(2)})
+    assert two_form_norm(F) == np.sqrt(10.0)
 
 
 # ---- Hodge star -----------------------------------------------------------------
@@ -92,29 +104,30 @@ def test_hodge_star_basis_table():
     }
     for pair, (target, sign) in expected.items():
         starred = hodge_star(basis_two_form(pair))
-        assert_allclose(starred.component(*target), [[sign]], atol=1e-14)
+        assert_allclose(starred[target], [[sign]], atol=1e-14)
+        assert_allclose(starred, -starred.swapaxes(0, 1), atol=1e-14)
         others = [p for p in PAIRS if p != target]
         for p in others:
-            assert_allclose(starred.component(*p), [[0.0]], atol=1e-14)
+            assert_allclose(starred[p], [[0.0]], atol=1e-14)
 
 
 def test_hodge_star_matches_bruteforce_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        F = Curvature(2, {p: rng.normal(size=(2, 2))
-                          + 1j * rng.normal(size=(2, 2)) for p in PAIRS})
-        assert (hodge_star(F) - hodge_oracle(F)).norm() < 1e-13
+        F = two_form(2, {p: rng.normal(size=(2, 2))
+                         + 1j * rng.normal(size=(2, 2)) for p in PAIRS})
+        assert two_form_norm(hodge_star(F) - hodge_oracle(F)) < 1e-13
 
 
 def test_hodge_star_is_an_involution():
     for pair in PAIRS:
         F = basis_two_form(pair)
-        assert (hodge_star(hodge_star(F)) - F).norm() <= 1e-14
+        assert two_form_norm(hodge_star(hodge_star(F)) - F) <= 1e-14
     rng = np.random.default_rng(2)
     for _ in range(20):
-        F = Curvature(1, {p: np.array([[rng.normal() + 1j * rng.normal()]])
-                          for p in PAIRS})
-        assert (hodge_star(hodge_star(F)) - F).norm() <= 1e-13 * F.norm()
+        F = two_form(1, {p: rng.normal() + 1j * rng.normal() for p in PAIRS})
+        assert (two_form_norm(hodge_star(hodge_star(F)) - F)
+                <= 1e-13 * two_form_norm(F))
 
 
 # ---- self-duality ----------------------------------------------------------------
@@ -174,7 +187,7 @@ def test_nonabelian_polynomial_curvature_matches_hand_computation():
     }
     F_x = curvature(conn, x)
     for pair, value in expected.items():
-        assert np.array_equal(F_x.component(*pair), value), pair
+        assert np.array_equal(F_x[pair], value), pair
 
 
 # ---- gauge transformations --------------------------------------------------------
@@ -199,7 +212,7 @@ def test_scalar_phase_pure_gauge():
     assert_allclose(moved.coefficient(0, x), [[-1j]], atol=1e-14)
     for i in (1, 2, 3):
         assert_allclose(moved.coefficient(i, x), [[0.0]], atol=1e-14)
-    assert curvature(moved, x).norm() < 1e-12
+    assert two_form_norm(curvature(moved, x)) < 1e-12
 
 
 def test_gauge_transformed_connection_keeps_analytic_partials():
