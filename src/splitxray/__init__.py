@@ -5,9 +5,8 @@ twistor contour transform, and split self-dual gauge fields."""
 from .fields import (HarmonicPolynomial, HomogeneousFunction,
                      basis_to_degree_minus_2, harmonic_basis,
                      weight_transform_residual)
-from .geometry import (ComplexProjectivePoint, Frame, GPoint,
-                       RealProjectivePoint, chart_from_plane, incidence,
-                       mu_inverse, mu_restrict, pi_project, plane_from_chart,
+from .geometry import (Frame, chart_from_plane, incidence_residual, is_real,
+                       pi_project, plane_distance, plane_from_chart,
                        plucker_embed, quadric_residual)
 from .instanton import (Connection, GaugeMap, connection_preset,
                         constant_gauge, curvature, gauge_transform, hodge_star,

@@ -60,7 +60,8 @@ class HomogeneousFunction:
     def from_poly(cls, poly: Poly4, label=None):
         """Wrap a nonzero homogeneous polynomial."""
         if poly.is_zero():
-            raise ValueError("use HomogeneousFunction.zero for the zero function")
+            raise ValueError("the zero polynomial has no degree; give one to "
+                             "the HomogeneousFunction constructor")
         if not poly.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
         return cls(poly.degree, poly, label or f"poly{poly.degree}")
@@ -77,10 +78,6 @@ class HomogeneousFunction:
             return _refuse_origin(x) ** half
 
         return cls(p, value, label or f"|x|^{p}", origin_in_value=True)
-
-    @classmethod
-    def zero(cls, degree=-2):
-        return cls(degree, lambda x: np.zeros(x.shape[:-1]), label="0")
 
     # ---- algebra ---------------------------------------------------------
 

@@ -1,21 +1,20 @@
 """Incidence geometry of lines and 2-planes in R^4.
 
-Concrete coordinate models for the four correspondence spaces used by the
-transforms: real and complex projective lines, frames (ordered bases) of
-real 2-planes, flag pairs, and pairs of a complex line inside a
-complexified real plane.  Orientation is carried purely by frame order;
-unordered-plane comparisons go through Pluecker coordinates up to scale.
+Concrete coordinate models for the correspondence behind the transforms:
+frames (ordered bases) of real 2-planes, their Pluecker coordinates and
+chart, and the map pi sending a non-real complex line [z] in CP^3 to the
+real plane span(Re z, Im z).  Complex lines are plain complex 4-vectors.
+Orientation is carried purely by frame order; unordered-plane comparisons
+go through Pluecker coordinates up to scale.
 
 All objects are immutable values and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# Default tolerance for projective equality / incidence residuals.
+# Default tolerance of is_real, relative to the vector's norm.
 PROJECTIVE_TOL = 1e-10
 # A frame is rejected as degenerate when the smaller singular value of its
 # 2x4 matrix falls below this multiple of the larger one, or when the
@@ -46,64 +45,6 @@ def _readonly(a):
     a = np.array(a)
     a.setflags(write=False)
     return a
-
-
-class RealProjectivePoint:
-    """A real line through the origin in R^4, stored as a unit representative."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep):
-        v = np.asarray(rep, dtype=float)
-        if v.shape != (4,):
-            raise ValueError("representative must be a real 4-vector")
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("zero vector does not represent a projective point")
-        self.rep = _readonly(v / n)
-
-    def proj_eq(self, other, tol=PROJECTIVE_TOL):
-        """Projective equality: representatives agree up to sign."""
-        return 1.0 - abs(float(self.rep @ other.rep)) <= tol
-
-    def __repr__(self):
-        return f"RealProjectivePoint({np.array2string(self.rep, precision=6)})"
-
-
-class ComplexProjectivePoint:
-    """A complex line through the origin in C^4, stored as a unit representative."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep):
-        v = np.asarray(rep, dtype=complex)
-        if v.shape != (4,):
-            raise ValueError("representative must be a complex 4-vector")
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("zero vector does not represent a projective point")
-        self.rep = _readonly(v / n)
-
-    def proj_eq(self, other, tol=PROJECTIVE_TOL):
-        """Equality up to a complex scalar: |<a,b>| = 1 for unit representatives."""
-        return 1.0 - abs(complex(np.conj(self.rep) @ other.rep)) <= tol
-
-    def is_real(self, tol=PROJECTIVE_TOL):
-        """True iff some scalar multiple of the representative is real.
-
-        Equivalent to real-linear dependence of the real and imaginary
-        parts, tested through the second singular value of the 2x4 matrix
-        (Re, Im).
-        """
-        m = np.vstack([self.rep.real, self.rep.imag])
-        s = np.linalg.svd(m, compute_uv=False)
-        return s[1] <= tol * max(s[0], 1.0)
-
-    def conj(self):
-        return ComplexProjectivePoint(np.conj(self.rep))
-
-    def __repr__(self):
-        return f"ComplexProjectivePoint({np.array2string(self.rep, precision=6)})"
 
 
 class Frame:
@@ -143,18 +84,10 @@ class Frame:
         g = np.asarray(g, dtype=float)
         return Frame(g @ self.u, g @ self.v)
 
-    def spans_same_plane(self, other, tol=PROJECTIVE_TOL):
-        """Unordered-plane equality through unit Pluecker vectors up to sign."""
-        p = plucker_embed(self)
-        q = plucker_embed(other)
-        p = p / np.linalg.norm(p)
-        q = q / np.linalg.norm(q)
-        return min(np.linalg.norm(p - q), np.linalg.norm(p + q)) <= tol
-
     def orientation_sign(self, other):
         """+1 / -1 depending on whether `other` spans the same plane with the
         same / opposite orientation; raises if the planes differ."""
-        if not self.spans_same_plane(other, tol=1e-8):
+        if plane_distance(self, other) > 1e-8:
             raise ValueError("frames span different planes")
         # solve [other.u other.v] = [u v] g in the least-squares sense
         basis = self.matrix().T
@@ -230,64 +163,48 @@ def chart_from_plane(f: Frame):
     return np.linalg.solve(lead, m[:, 2:])
 
 
-def pi_project(z: ComplexProjectivePoint) -> Frame:
-    """The real 2-plane spanned by the real and imaginary parts of z.
+def is_real(z, tol=PROJECTIVE_TOL):
+    """True iff some scalar multiple of the complex 4-vector z is real.
+
+    Equivalent to real-linear dependence of the real and imaginary parts:
+    the second singular value of the 2x4 matrix (Re z, Im z) is at most
+    tol times the norm of z.  The zero vector counts as real.
+    """
+    z = np.asarray(z, dtype=complex)
+    s = np.linalg.svd(np.vstack([z.real, z.imag]), compute_uv=False)
+    return bool(s[1] <= tol * np.linalg.norm(z))
+
+
+def pi_project(z) -> Frame:
+    """The frame (Re z, Im z) of the real 2-plane pi([z]) for a complex
+    4-vector z.
 
     Defined only off the real locus; the orientation of the resulting frame
     is independent of the chosen representative (rescaling z by any nonzero
     complex number changes the frame by a positive-determinant 2x2 matrix).
     """
-    if z.is_real():
-        raise ValueError("pi_project undefined for real points (line lies in RP^3)")
-    return Frame(z.rep.real, z.rep.imag)
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (4,):
+        raise ValueError("z must be a complex 4-vector")
+    if is_real(z):
+        raise ValueError("pi_project undefined for zero and real vectors "
+                         "(a real line lies in RP^3)")
+    return Frame(z.real, z.imag)
 
 
-@dataclass(frozen=True)
-class GPoint:
-    """A complex line lying inside the complexification of a real 2-plane."""
-
-    line: ComplexProjectivePoint
-    plane: Frame
-
-    def __post_init__(self):
-        r = _projection_residual_complex(self.line.rep, self.plane)
-        if r > PROJECTIVE_TOL:
-            raise ValueError(
-                f"line is not contained in the complexified plane (residual {r:.3e})")
-
-
-def _projection_residual_real(w, plane: Frame):
-    q, _ = np.linalg.qr(plane.matrix().T)
-    return float(np.linalg.norm(w - q @ (q.T @ w)))
-
-
-def _projection_residual_complex(w, plane: Frame):
+def incidence_residual(z, plane: Frame):
+    """Distance from the 4-vector z, real or complex, to the complexified
+    span of the frame: zero iff the line [z] lies in the plane."""
     q, _ = np.linalg.qr(plane.matrix().T.astype(complex))
+    w = np.asarray(z, dtype=complex)
     return float(np.linalg.norm(w - q @ (np.conj(q.T) @ w)))
 
 
-def incidence(line, plane: Frame, tol=PROJECTIVE_TOL):
-    """True iff the line lies in the (complexified) span of the frame.
-
-    Accepts a RealProjectivePoint against the real span or a
-    ComplexProjectivePoint against the complexified span.
-    """
-    if isinstance(line, RealProjectivePoint):
-        return _projection_residual_real(line.rep, plane) <= tol
-    if isinstance(line, ComplexProjectivePoint):
-        return _projection_residual_complex(line.rep, plane) <= tol
-    raise TypeError("line must be a real or complex projective point")
-
-
-def mu_restrict(gp: GPoint) -> ComplexProjectivePoint:
-    """Forget the plane of an incident pair; only defined off the real locus."""
-    if gp.line.is_real():
-        raise ValueError("restriction undefined on flag pairs with a real line")
-    return gp.line
-
-
-def mu_inverse(z: ComplexProjectivePoint) -> GPoint:
-    """The unique incident pair over a non-real complex line."""
-    if z.is_real():
-        raise ValueError("inverse undefined for real points (line lies in RP^3)")
-    return GPoint(z, pi_project(z))
+def plane_distance(f: Frame, g: Frame):
+    """min(|p - q|, |p + q|) of the unit Pluecker vectors p, q of the two
+    frames: zero iff they span the same unordered plane."""
+    p = plucker_embed(f)
+    q = plucker_embed(g)
+    p = p / np.linalg.norm(p)
+    q = q / np.linalg.norm(q)
+    return float(min(np.linalg.norm(p - q), np.linalg.norm(p + q)))

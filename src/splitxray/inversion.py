@@ -41,7 +41,6 @@ class DesignMatrix:
 @dataclass
 class ReconstructionReport:
     coefficients: np.ndarray
-    residual_norm: float
     rank: int
     condition: float
     relative_coefficient_error: Optional[float] = None
@@ -53,8 +52,6 @@ class InjectivityReport:
     dimension: int
     condition: float
     per_degree_min_singular: dict
-    n_frames: int
-    seed: int
 
 
 def design_matrix(basis, frames, q: QuadratureSpec = QuadratureSpec(),
@@ -109,13 +106,11 @@ def reconstruct(samples, d: DesignMatrix,
         raise ValueError("design matrix is rank deficient; null combination "
                          + " ".join(terms))
     coeff, *_ = np.linalg.lstsq(d.matrix, samples, rcond=None)
-    residual = float(np.linalg.norm(d.matrix @ coeff - samples))
     rel = None
     if true_coefficients is not None:
         truth = np.asarray(true_coefficients, dtype=float)
         rel = float(np.linalg.norm(coeff - truth) / np.linalg.norm(truth))
-    return ReconstructionReport(coefficients=coeff, residual_norm=residual,
-                                rank=rank, condition=cond,
+    return ReconstructionReport(coefficients=coeff, rank=rank, condition=cond,
                                 relative_coefficient_error=rel)
 
 
@@ -169,8 +164,7 @@ def injectivity_report(max_degree, n_frames, seed,
         s = np.linalg.svd(d.matrix[:, cols], compute_uv=False)
         per_degree[k] = float(s[-1])
     return InjectivityReport(rank=rank, dimension=dimension, condition=cond,
-                             per_degree_min_singular=per_degree,
-                             n_frames=n_frames, seed=seed)
+                             per_degree_min_singular=per_degree)
 
 
 def save_design_matrix(d: DesignMatrix, path):

@@ -194,6 +194,10 @@ def equivariance_residual(f: HomogeneousFunction, g, frames,
     """Max over frames of |R(f o g)(u, v) - (Rf)(g u, g v)|.
 
     Each side integrates all frames in one evaluation of its integrand.
+    Both sides integrate the same nodes, f o g at u cos + v sin and f at
+    g u cos + g v sin, so the identity holds node by node: the residual is
+    rounding and sees no quadrature error (32 and 64 nodes give equal
+    values).
     """
     if f.degree != -2:
         raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")

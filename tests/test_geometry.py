@@ -4,12 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from splitxray.geometry import (DEGENERACY_RTOL, ComplexProjectivePoint,
-                                Frame, GPoint, RealProjectivePoint,
-                                chart_frame_rows, chart_from_plane, incidence,
-                                mu_inverse, mu_restrict, pi_project,
-                                plane_from_chart, plucker_embed,
-                                quadric_residual)
+from splitxray import cli, geometry
+from splitxray.geometry import (DEGENERACY_RTOL, Frame, chart_frame_rows,
+                                chart_from_plane, incidence_residual, is_real,
+                                pi_project, plane_distance, plane_from_chart,
+                                plucker_embed, quadric_residual)
 
 E = np.eye(4)
 
@@ -104,141 +103,124 @@ def test_chart_rejects_out_of_chart_plane():
 # ---- pi projection ---------------------------------------------------------
 
 def test_pi_project_basic():
-    z = ComplexProjectivePoint(E[0] + 1j * E[1])
-    f = pi_project(z)
+    f = pi_project(E[0] + 1j * E[1])
     assert quadric_residual(plucker_embed(f)) <= 1e-12
-    assert f.spans_same_plane(Frame(E[0], E[1]))
+    assert plane_distance(f, Frame(E[0], E[1])) <= 1e-10
     assert f.orientation_sign(Frame(E[0], E[1])) == 1.0
 
 
 def test_pi_project_scaled_representative():
     # i*e1 - e2 = i*(e1 + i e2): same plane, same orientation as (e1, e2)
-    z = ComplexProjectivePoint(1j * E[0] - E[1])
-    f = pi_project(z)
+    f = pi_project(1j * E[0] - E[1])
     assert_allclose(np.abs(f.u) / np.linalg.norm(f.u), E[1], atol=1e-12)
-    assert f.spans_same_plane(Frame(E[0], E[1]))
+    assert plane_distance(f, Frame(E[0], E[1])) <= 1e-10
     assert f.orientation_sign(Frame(E[0], E[1])) == 1.0
 
 
 def test_pi_project_rejects_real_points():
     with pytest.raises(ValueError, match="real"):
-        pi_project(ComplexProjectivePoint(E[0]))
+        pi_project(E[0])
     with pytest.raises(ValueError, match="real"):
-        pi_project(ComplexProjectivePoint((1 + 2j) * E[0]))
+        pi_project((1 + 2j) * E[0])
 
 
 def test_pi_project_conjugation_flips_orientation():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        z = ComplexProjectivePoint(rng.normal(size=4) + 1j * rng.normal(size=4))
-        assert pi_project(z).orientation_sign(pi_project(z.conj())) == -1.0
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        assert pi_project(z).orientation_sign(pi_project(np.conj(z))) == -1.0
 
 
 def test_pi_project_rescaling_preserves_orientation():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        z = ComplexProjectivePoint(rng.normal(size=4) + 1j * rng.normal(size=4))
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
         lam = rng.normal() + 1j * rng.normal()
-        w = ComplexProjectivePoint(lam * z.rep)
-        assert pi_project(z).orientation_sign(pi_project(w)) == 1.0
+        assert pi_project(z).orientation_sign(pi_project(lam * z)) == 1.0
 
 
 # ---- mu --------------------------------------------------------------------
 
-def test_mu_inverse_basic():
-    z = ComplexProjectivePoint(E[0] + 1j * E[1])
-    gp = mu_inverse(z)
-    assert mu_restrict(gp).proj_eq(z, tol=1e-14)
-    assert gp.plane.spans_same_plane(Frame(E[0], E[1]), tol=1e-14)
-
-
 def test_mu_round_trips_100_points():
+    # the incident pair over [z] is ([z], pi(z)): z lies in the complexified
+    # plane, and every representative of [z] gives that plane
     rng = np.random.default_rng(3)
     for _ in range(100):
-        z = ComplexProjectivePoint(rng.normal(size=4) + 1j * rng.normal(size=4))
-        gp = mu_inverse(z)
-        back = mu_restrict(gp)
-        assert 1.0 - abs(complex(np.conj(z.rep) @ back.rep)) <= 1e-12
-        gp2 = mu_inverse(back)
-        assert gp.plane.spans_same_plane(gp2.plane, tol=1e-12)
-        assert gp.plane.orientation_sign(gp2.plane) == 1.0
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        z = z / np.linalg.norm(z)
+        plane = pi_project(z)
+        assert incidence_residual(z, plane) <= 1e-12
+        lam = rng.normal() + 1j * rng.normal()
+        assert plane_distance(plane, pi_project(lam * z)) <= 1e-12
 
 
-def test_mu_rejects_real_lines():
-    with pytest.raises(ValueError):
-        mu_inverse(ComplexProjectivePoint(E[0]))
-    gp = GPoint(ComplexProjectivePoint(E[0]), Frame(E[0], E[1]))
-    with pytest.raises(ValueError):
-        mu_restrict(gp)
-
-
-def test_gpoint_rejects_non_incident_pairs():
-    with pytest.raises(ValueError, match="not contained"):
-        GPoint(ComplexProjectivePoint(E[2] + 1j * E[3]), Frame(E[0], E[1]))
+def test_geometry_roundtrip_fails_when_pi_permutes_coordinates(monkeypatch):
+    # pi(z) = span(P Re z, P Im z) for a 4-cycle P still sends every
+    # representative of [z] to one plane with one orientation, but [z] no
+    # longer lies in it
+    P = np.roll(np.eye(4), 1, axis=0)
+    monkeypatch.setattr(geometry, "pi_project",
+                        lambda z: Frame(P @ z.real, P @ z.imag))
+    checks = {c.name: c for c in cli.run({"command": "geometry-roundtrip"}).checks}
+    assert checks["geometry_roundtrip"].value > 0.5
+    assert not checks["geometry_roundtrip"].passed
+    assert checks["geometry_roundtrip:orientation"].passed
 
 
 # ---- incidence -------------------------------------------------------------
 
 def test_incidence_real():
     plane = Frame(E[0], E[1])
-    assert incidence(RealProjectivePoint(E[0]), plane)
-    assert not incidence(RealProjectivePoint(E[2]), plane)
-    assert incidence(RealProjectivePoint(0.3 * E[0] - 1.2 * E[1]), plane)
+    assert incidence_residual(E[0], plane) <= 1e-10
+    assert incidence_residual(E[2], plane) == pytest.approx(1.0)
+    assert incidence_residual(0.3 * E[0] - 1.2 * E[1], plane) <= 1e-10
+    assert incidence_residual(E[2] + 1j * E[3], plane) == pytest.approx(np.sqrt(2))
 
 
 def test_incidence_unique_plane_for_nonreal_line():
     rng = np.random.default_rng(4)
-    z = ComplexProjectivePoint(rng.normal(size=4) + 1j * rng.normal(size=4))
-    plane = pi_project(z)
-    assert incidence(z, plane)
+    z = rng.normal(size=4) + 1j * rng.normal(size=4)
+    z = z / np.linalg.norm(z)
+    assert incidence_residual(z, pi_project(z)) <= 1e-10
     hits = 0
     for _ in range(50):
         other = Frame(rng.normal(size=4), rng.normal(size=4))
-        if incidence(z, other, tol=1e-8):
+        if incidence_residual(z, other) <= 1e-8:
             hits += 1
     assert hits == 0
 
 
 def test_mu0_fiber_is_two_parameter():
     # frames containing a fixed real line, swept over two parameters
-    line = RealProjectivePoint([1.0, 0.4, -0.2, 0.7])
-    w = line.rep
+    w = np.array([1.0, 0.4, -0.2, 0.7])
     for s in np.linspace(-1, 1, 7):
         for t in np.linspace(-1, 1, 7):
             v = np.array([0.0, 1.0, s, t])
-            assert incidence(line, Frame(w, v))
+            assert incidence_residual(w, Frame(w, v)) <= 1e-10
 
 
 def test_nu0_fiber_is_one_parameter():
     # real lines inside a fixed frame form a circle's worth of points
     frame = Frame([1.0, 0, 0.3, -0.1], [0.2, 1.0, 0, 0.5])
     for theta in np.linspace(0, np.pi, 11)[:-1]:
-        line = RealProjectivePoint(np.cos(theta) * frame.u
-                                   + np.sin(theta) * frame.v)
-        assert incidence(line, frame)
+        w = np.cos(theta) * frame.u + np.sin(theta) * frame.v
+        assert incidence_residual(w / np.linalg.norm(w), frame) <= 1e-10
 
 
-# ---- projective points -----------------------------------------------------
-
-def test_projective_equality_up_to_sign_and_phase():
-    p = RealProjectivePoint([1, 2, -1, 0.5])
-    assert p.proj_eq(RealProjectivePoint([-1, -2, 1, -0.5]))
-    assert not p.proj_eq(RealProjectivePoint([1, 0, 0, 0]))
-    z = ComplexProjectivePoint([1, 1j, 0, 2])
-    assert z.proj_eq(ComplexProjectivePoint(np.exp(0.7j) * np.array([1, 1j, 0, 2])))
-
+# ---- real locus ------------------------------------------------------------
 
 def test_is_real_detection():
-    assert ComplexProjectivePoint(E[0]).is_real()
-    assert ComplexProjectivePoint((2 - 3j) * np.array([1, 0.5, 0, -2])).is_real()
-    assert not ComplexProjectivePoint(E[0] + 1j * E[1]).is_real()
+    assert is_real(E[0])
+    assert is_real((2 - 3j) * np.array([1, 0.5, 0, -2]))
+    assert not is_real(E[0] + 1j * E[1])
+    # the rule is relative to the norm of z
+    assert not is_real(1e-12 * (E[0] + 1j * E[1]))
+    assert is_real(1e3 * (E[0] + 1e-12j * E[1]))
 
 
 def test_zero_vectors_rejected():
-    with pytest.raises(ValueError):
-        RealProjectivePoint(np.zeros(4))
-    with pytest.raises(ValueError):
-        ComplexProjectivePoint(np.zeros(4))
+    with pytest.raises(ValueError, match="zero"):
+        pi_project(np.zeros(4))
 
 
 def test_stack_with_one_degenerate_chart_frame_raises_as_frame_does():

@@ -209,7 +209,7 @@ def test_coupled_box_dimension_mismatch():
 # ---- moment consistency -----------------------------------------------------------
 
 def test_dn_residual_zero_input():
-    f = HomogeneousFunction.zero(degree=-3)
+    f = HomogeneousFunction(-3, lambda x: np.zeros(x.shape[:-1]))
     m = moment_chart_field(f, 1)
     assert dn_residual(m, np.zeros((2, 2)), H) == 0.0
 
@@ -243,7 +243,8 @@ def test_dn_residual_rejects_n_zero():
 @pytest.mark.parametrize("h", [0.0, -1e-3])
 def test_nonpositive_step_is_refused(h):
     psi = lambda x: np.array([x[0] ** 2 + 0.0j])
-    m = moment_chart_field(HomogeneousFunction.zero(degree=-3), 1)
+    m = moment_chart_field(
+        HomogeneousFunction(-3, lambda x: np.zeros(x.shape[:-1])), 1)
     for apply in (lambda: john_operator(np.linalg.det, np.zeros((2, 2)), h),
                   lambda: dn_residual(m, np.zeros((2, 2)), h),
                   lambda: box_diag(psi, np.zeros(4), h),
