@@ -42,9 +42,13 @@ CONFIG_SCHEMA = {
         "command": {"type": "string"},
         "nodes": {"type": "integer", "minimum": 4},
         "nodes_john": {"type": "integer", "minimum": 4},
-        "fd_step": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
-        "max_degree": {"type": "integer", "minimum": 0},
+        # a stencil is a local probe: at most 0.1, below the 0.35 scale of
+        # the chart points the suites draw.  From about 1e3 the 1/h^2 of the
+        # John stencil lets its check pass vacuously, and from 1e10 the
+        # moment and contour stencils raise.
+        "fd_step": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.1},
+        "seed": {"type": "integer", "minimum": 0},
+        "max_degree": {"type": "integer", "minimum": 0, "multipleOf": 2},
         "n_frames": {"type": "integer", "minimum": 1},
         "connection": {"type": "string"},
         "pole_margin": {"type": "number", "exclusiveMinimum": 0},
@@ -140,7 +144,9 @@ def _validate_config(cfg):
     from jsonschema.exceptions import best_match
     error = best_match(_config_validator().iter_errors(cfg))
     if error is not None:
-        raise ConfigError(f"invalid configuration: {error.message}") from error
+        where = "".join(f"{key}: " for key in error.absolute_path)
+        raise ConfigError(f"invalid configuration: {where}{error.message}") \
+            from error
 
 
 def _record(cfg, name, value):
@@ -234,8 +240,7 @@ def _suite_verify_moments(cfg):
     for n in (1, 2):
         residuals = []
         for h in fields.harmonic_basis(n):
-            f = (fields.HomogeneousFunction.from_poly(h.poly)
-                 * fields.HomogeneousFunction.radial_power(-2 * n - 2))
+            f = fields.HomogeneousFunction(h.poly, -2 * n - 2)
             m = xray.moment_chart_field(f, n, q)
             residuals += [operators.dn_residual(m, X, cfg["fd_step"])
                           for X in _chart_points(rng, 5)]
@@ -247,9 +252,16 @@ def _instanton_points(rng, count=5, scale=0.8):
     return [scale * rng.normal(size=4) for _ in range(count)]
 
 
+def _connection(cfg):
+    try:
+        return instanton.connection_preset(cfg["connection"])
+    except ValueError as e:
+        raise ConfigError(f"connection: {e}") from e
+
+
 def _suite_verify_selfdual(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    conn = instanton.connection_preset(cfg["connection"])
+    conn = _connection(cfg)
     points = _instanton_points(rng)
     checks = [_record(cfg, f"selfdual:{conn.name}",
                       instanton.selfdual_residual(conn, points))]
@@ -265,7 +277,7 @@ def _suite_verify_selfdual(cfg):
 
 def _suite_verify_gauge(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    conn = instanton.connection_preset(cfg["connection"])
+    conn = _connection(cfg)
     g = instanton.scalar_phase(Poly4.monomial((1, 1, 0, 0)), n=conn.n)
     moved = instanton.gauge_transform(conn, g)
     points = _instanton_points(rng)

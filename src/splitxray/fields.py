@@ -1,19 +1,22 @@
 """Homogeneous functions on R^4 minus the origin, harmonic bases, and the
 weight law of functions of frames.
 
-A HomogeneousFunction is an evaluator with an exact integer degree, built
-over a closed vocabulary: polynomials, even powers of |x|, their sums and
-products, and linear changes of variable.  Harmonic polynomial bases are
-built in closed form with exact rational coefficients, so basis elements
-have an identically zero Laplacian coefficient table before any floats
-appear.
+A HomogeneousFunction is data, not a closure: a homogeneous polynomial, an
+even power of |x| and an optional linear change of variable, with the
+exact integer degree they imply.  Every input that the transforms
+integrate has this form; a sum of such inputs of one radial power is one
+polynomial.  Harmonic polynomial bases are built in closed form with exact
+rational coefficients, so basis elements have an identically zero
+Laplacian coefficient table before any floats appear; a harmonic
+polynomial is evaluated through its `poly`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,117 +24,54 @@ from .geometry import Frame
 from .poly import Poly4, exponents_of_degree, frozen
 
 
+@dataclass(frozen=True, eq=False)
 class HomogeneousFunction:
-    """A function on R^4 \\ {0} with exact integer homogeneity.
+    """x -> poly(y) * |y|^power with y = matrix @ x, on R^4 \\ {0}.
+
+    poly is a nonzero homogeneous Poly4, power an even integer and matrix
+    an invertible 4x4 matrix or None for the identity.  The degree,
+    poly.degree + power, is exact and stored at construction: f(t x)
+    equals t**degree * f(x) for every nonzero real t, and in particular
+    f(-x) = (-1)**degree * f(x) bit for bit, since poly is homogeneous and
+    the radial factor even.
 
     Evaluation is vectorized over a trailing axis of length 4 and raises
-    on the origin.  The stored degree is exact: eval(t*x) equals
-    t**degree * eval(x) for every nonzero real t, which restricts radial
-    factors to even powers of |x|.
-
-    A radial factor needs |x|^2 anyway, so it refuses the origin itself
-    and a function with one (origin_in_value) skips the separate test.
+    on the origin and on complex points.
     """
 
-    __slots__ = ("degree", "label", "_value", "_origin_in_value")
+    poly: Poly4
+    power: int = 0
+    matrix: Optional[np.ndarray] = None
+    label: Optional[str] = None
+    degree: int = field(init=False)
 
-    def __init__(self, degree, value: Callable, label="f",
-                 origin_in_value=False):
-        self.degree = int(degree)
-        self.label = label
-        self._value = value
-        self._origin_in_value = origin_in_value
-
-    @staticmethod
-    def _check_points(x, origin):
-        x = _real_points(x)
-        if x.shape[-1] != 4:
-            raise ValueError("points must have a trailing axis of length 4")
-        if origin:
-            _refuse_origin(x)
-        return x
+    def __post_init__(self):
+        if self.poly.is_zero():
+            raise ValueError("the zero polynomial has no degree")
+        if not self.poly.is_homogeneous():
+            raise ValueError("polynomial is not homogeneous")
+        object.__setattr__(self, "power", operator.index(self.power))
+        if self.power % 2 != 0:
+            raise ValueError("radial power must be even to be homogeneous")
+        if self.matrix is not None:
+            g = np.array(self.matrix, dtype=float)
+            if g.shape != (4, 4) or np.linalg.det(g) == 0.0:
+                raise ValueError("matrix must be an invertible 4x4 matrix")
+            g.setflags(write=False)
+            object.__setattr__(self, "matrix", g)
+        object.__setattr__(self, "degree", self.poly.degree + self.power)
 
     def __call__(self, x):
-        return self._value(self._check_points(x, not self._origin_in_value))
+        y = _real_points(x)
+        if self.matrix is not None:
+            y = y @ self.matrix.T
+        return self.poly(y) * _refuse_origin(y) ** (self.power // 2)
 
-    # ---- constructors ----------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, poly: Poly4, label=None):
-        """Wrap a nonzero homogeneous polynomial."""
-        if poly.is_zero():
-            raise ValueError("the zero polynomial has no degree; give one to "
-                             "the HomogeneousFunction constructor")
-        if not poly.is_homogeneous():
-            raise ValueError("polynomial is not homogeneous")
-        return cls(poly.degree, poly, label or f"poly{poly.degree}")
-
-    @classmethod
-    def radial_power(cls, p, label=None):
-        """|x|**p for even integer p (odd powers break homogeneity at t < 0)."""
-        p = int(p)
-        if p % 2 != 0:
-            raise ValueError("radial power must be even to be homogeneous")
-        half = p // 2
-
-        def value(x):
-            return _refuse_origin(x) ** half
-
-        return cls(p, value, label or f"|x|^{p}", origin_in_value=True)
-
-    # ---- algebra ---------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, HomogeneousFunction):
-            f, g = self, other
-
-            def value(x):
-                return f._value(x) * g._value(x)
-
-            return HomogeneousFunction(
-                f.degree + g.degree, value, f"{f.label}*{g.label}",
-                f._origin_in_value or g._origin_in_value)
-        c = other
-        return HomogeneousFunction(
-            self.degree, lambda x, f=self._value: c * f(x),
-            f"{c}*{self.label}", self._origin_in_value)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, HomogeneousFunction):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError("cannot add homogeneous functions of different degree")
-        f, g = self, other
-        return HomogeneousFunction(
-            self.degree, lambda x: f._value(x) + g._value(x),
-            f"{f.label}+{g.label}", f._origin_in_value or g._origin_in_value)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def compose_linear(self, g, label=None):
+    def compose_linear(self, g):
         """x -> f(g x) for an invertible 4x4 matrix g; same degree."""
         g = np.asarray(g, dtype=float)
-        if g.shape != (4, 4):
-            raise ValueError("g must be a 4x4 matrix")
-        if np.linalg.det(g) == 0.0:
-            raise ValueError("g must be invertible")
-        f = self
-
-        def value(x):
-            return f._value(x @ g.T)
-
-        return HomogeneousFunction(self.degree, value, label or f"{self.label}.g")
-
-    def with_label(self, label):
-        """The same function under another label."""
-        return HomogeneousFunction(self.degree, self._value, label,
-                                   self._origin_in_value)
+        return replace(self, matrix=g if self.matrix is None
+                       else self.matrix @ g)
 
 
 def _refuse_origin(x):
@@ -190,9 +130,6 @@ class HarmonicPolynomial:
             raise ValueError("coefficient table is not homogeneous of the stated degree")
         if not self.poly.laplacian().is_zero():
             raise ValueError("polynomial is not harmonic")
-
-    def __call__(self, x):
-        return self.poly(_real_points(x))
 
 
 def _harmonic_extension(expo):
@@ -254,9 +191,9 @@ def basis_to_degree_minus_2(h: HarmonicPolynomial,
     if h.degree % 2 != 0:
         raise ValueError(
             "odd harmonic degree: H(x)|x|^(-k-2) changes sign under x -> -x")
-    f = (HomogeneousFunction.from_poly(h.poly, f"H{h.degree}")
-         * HomogeneousFunction.radial_power(-h.degree - 2))
-    return f if label is None else f.with_label(label)
+    power = -h.degree - 2
+    return HomogeneousFunction(h.poly, power,
+                               label=label or f"H{h.degree}*|x|^{power}")
 
 
 def weight_transform_residual(phi: Callable[[Frame], complex], weight,

@@ -47,7 +47,7 @@ def spy(monkeypatch, module, name):
 
 
 def test_criterion_01_flagship_closed_form():
-    f = sx.HomogeneousFunction.radial_power(-2)
+    f = sx.HomogeneousFunction(sx.Poly4.constant(1), -2)
     value = sx.xray_transform(f, sx.Frame(E[0], E[1]), sx.QuadratureSpec(64))
     err = abs(value - 2 * np.pi)
     tol = FLAGSHIP_VALUE

@@ -319,3 +319,40 @@ def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     assert main(["verify-selfdual", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: config file must hold a JSON object")
+
+
+# Edge values of CONFIG_SCHEMA.  The refused ones ended in a traceback, the
+# exit code of a failed check, in some suite that reads the key; now every
+# suite that reads it refuses them with exit 2.
+REFUSED_EDGES = [
+    ("--seed", "-1", list(cli.SUITES)),
+    ("--max-degree", "3", ["verify-john", "reconstruct", "injectivity"]),
+    ("--connection", "nosuch", ["verify-selfdual", "verify-gauge"]),
+    ("--fd-step", "1e300", ["verify-john", "verify-moments",
+                            "verify-coupled-box", "penrose-elementary"]),
+]
+# Accepted edges, on cheap suites that read the key, with their exit code.
+ACCEPTED_EDGES = [
+    ("verify-coupled-box", "--seed", "0", 0),
+    ("reconstruct", "--max-degree", "0", 0),
+    ("verify-moments", "--fd-step", "0.1", 1),
+    ("penrose-elementary", "--fd-step", "0.1", 0),
+]
+
+
+def test_edge_values_exit_0_1_or_2_and_never_raise(capsys):
+    def exit_code(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.startswith("error: ") and out == "", argv
+        else:
+            assert json.loads(out)["overall"] is (code == 0), argv
+        return code
+
+    for flag, value, suites in REFUSED_EDGES:
+        for suite in suites:
+            assert exit_code([suite, flag, value]) == 2, (suite, flag)
+    for suite, flag, value, expected in ACCEPTED_EDGES:
+        assert exit_code([suite, flag, value]) == expected, (suite, flag)

@@ -31,14 +31,17 @@ def laplacian_oracle(poly):
 
 # ---- homogeneous functions -------------------------------------------------
 
+INV_SQ = HomogeneousFunction(Poly4.constant(1), -2)
+
+
 def test_inverse_square_values():
-    f = HomogeneousFunction.radial_power(-2)
+    f = INV_SQ
     assert f(np.ones(4)) == 0.25
     assert f(E[0]) == 1.0
 
 
 def test_eval_rejects_origin():
-    f = HomogeneousFunction.radial_power(-2)
+    f = INV_SQ
     with pytest.raises(ValueError, match="origin"):
         f(np.zeros(4))
     with pytest.raises(ValueError, match="origin"):
@@ -46,10 +49,9 @@ def test_eval_rejects_origin():
 
 
 def test_complex_points_are_refused():
-    h = harmonic_basis(2)[4]
-    g = basis_to_degree_minus_2(h)
+    g = basis_to_degree_minus_2(harmonic_basis(2)[4])
     z = np.array([1.0, 0.5j, -0.3, 0.2])
-    for f in (g, h, HomogeneousFunction.radial_power(-2)):
+    for f in (g, INV_SQ, g.compose_linear(2.0 * np.eye(4))):
         with pytest.raises(TypeError, match="complex"):
             f(z)
     # refused by dtype even with a zero imaginary part
@@ -64,23 +66,25 @@ def test_homogeneity_scaling(xs, p):
     x = np.array(xs)
     if np.linalg.norm(x) < 1e-3:
         return
-    f = HomogeneousFunction.radial_power(p)
+    f = HomogeneousFunction(Poly4.constant(1), p)
     assert_allclose(f(2.0 * x), 2.0 ** p * f(x), rtol=1e-12)
     assert_allclose(f(-x), f(x), rtol=1e-12)
 
 
 def test_scaling_identity_100_points():
-    # f(t x) = t^deg f(x) for products, sums and linear changes of variable
+    # f(t x) = t^deg f(x) for polynomials times radial powers, a sum of
+    # them (2.5 |x|^-2 - h |x|^-4 as one polynomial over |x|^4) and linear
+    # changes of variable
     h = Poly4.monomial((2, 0, 0, 0)) - Poly4.monomial((0, 2, 0, 0))
-    prod = HomogeneousFunction.from_poly(h) * HomogeneousFunction.radial_power(-4)
+    prod = HomogeneousFunction(h, -4)
+    r2 = Poly4({tuple(2 * e): 1 for e in np.eye(4, dtype=int)})
     rng = np.random.default_rng(1)
     funcs = [
-        HomogeneousFunction.radial_power(-2),
+        INV_SQ,
         basis_to_degree_minus_2(harmonic_basis(2)[4]),
         basis_to_degree_minus_2(harmonic_basis(4)[11]),
-        HomogeneousFunction.from_poly(Poly4.monomial((1, 0, 0, 0)))
-        * HomogeneousFunction.radial_power(-4),
-        2.5 * HomogeneousFunction.radial_power(-2) + (-1.0) * prod,
+        HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4),
+        HomogeneousFunction(2.5 * r2 - h, -4),
         prod.compose_linear(rng.normal(size=(4, 4)) + 2 * np.eye(4)),
     ]
     for f in funcs:
@@ -92,16 +96,54 @@ def test_scaling_identity_100_points():
 
 
 def test_degree_bookkeeping():
-    f = HomogeneousFunction.from_poly(Poly4.monomial((1, 1, 0, 0)))
-    assert f.degree == 2
-    assert (f * HomogeneousFunction.radial_power(-6)).degree == -4
-    with pytest.raises(ValueError, match="degree"):
-        f + HomogeneousFunction.radial_power(-2)
+    xy = Poly4.monomial((1, 1, 0, 0))
+    assert HomogeneousFunction(xy).degree == 2
+    assert HomogeneousFunction(xy, -6).degree == -4
+    assert HomogeneousFunction(xy, -6).compose_linear(2.0 * np.eye(4)).degree == -4
+    # a sum of terms of different degree has none
+    with pytest.raises(ValueError, match="homogeneous"):
+        HomogeneousFunction(xy + Poly4.monomial((1, 0, 0, 0)), -4)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        HomogeneousFunction(Poly4.zero(), -2)
 
 
 def test_odd_radial_power_rejected():
     with pytest.raises(ValueError, match="even"):
-        HomogeneousFunction.radial_power(-3)
+        HomogeneousFunction(Poly4.constant(1), -3)
+    with pytest.raises(TypeError):
+        HomogeneousFunction(Poly4.constant(1), -2.5)
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """A nonzero homogeneous Poly4 of degree 0 to 4 with float coefficients."""
+    k = draw(st.integers(0, 4))
+    monos = draw(st.lists(st.sampled_from(exponents_of_degree(k)),
+                          min_size=1, max_size=6, unique=True))
+    coeffs = draw(st.lists(st.floats(-5, 5).filter(lambda c: abs(c) > 1e-3),
+                           min_size=len(monos), max_size=len(monos)))
+    return Poly4(dict(zip(monos, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_polys(), st.integers(-5, 1).map(lambda j: 2 * j),
+       st.lists(st.floats(-3, 3), min_size=8, max_size=8),
+       st.integers(0, 2 ** 31))
+def test_parity_and_change_of_variable_hold_by_construction(poly, power, xs,
+                                                            seed):
+    # poly is homogeneous and the radial factor even, so f(-x) is
+    # (-1)^degree f(x) bit for bit, with or without a matrix
+    x = np.reshape(xs, (2, 4))
+    if np.min(np.linalg.norm(x, axis=-1)) < 0.1:
+        return
+    f = HomogeneousFunction(poly, power)
+    g = np.random.default_rng(seed).normal(size=(4, 4)) + 3.0 * np.eye(4)
+    fg = f.compose_linear(g)
+    assert f.degree == fg.degree == poly.degree + power
+    for fn in (f, fg):
+        assert np.array_equal(fn(-x), (-1.0) ** fn.degree * fn(x))
+    # f(g x) for each point x, a row of x
+    assert np.array_equal(fg(x), f(x @ g.T))
 
 
 def test_compose_linear_matches_pointwise():
@@ -210,7 +252,7 @@ def transform_of(f, q=QuadratureSpec()):
 
 
 def test_weight_law_identity_and_closed_form():
-    f = HomogeneousFunction.radial_power(-2)
+    f = INV_SQ
     phi = transform_of(f, QuadratureSpec(64))
     frame = Frame(E[0], E[1])
     assert weight_transform_residual(phi, -1, frame, np.eye(2)) == 0.0
@@ -224,7 +266,7 @@ def test_weight_law_identity_and_closed_form():
 
 
 def test_weight_law_negative_determinant():
-    f = HomogeneousFunction.radial_power(-2)
+    f = INV_SQ
     phi = transform_of(f, QuadratureSpec(64))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert weight_transform_residual(phi, -1, Frame(E[0], E[1]), swap) < 1e-10
@@ -233,7 +275,7 @@ def test_weight_law_negative_determinant():
 def test_weight_law_fails_at_the_wrong_weight():
     # the transform has weight -1; with |det g| = 2 and phi(E0, E1) = 2 pi,
     # weight -2 leaves |2 pi / 2 - 2 pi / 4| / (1 + 2 pi)
-    phi = transform_of(HomogeneousFunction.radial_power(-2), QuadratureSpec(64))
+    phi = transform_of(INV_SQ, QuadratureSpec(64))
     frame = Frame(E[0], E[1])
     g = np.array([[1.0, 1.0], [-0.5, 1.5]])
     assert np.linalg.det(g) == 2.0
@@ -256,7 +298,7 @@ def test_weight_law_random_g_including_reflections():
 
 
 def test_weight_transform_rejects_singular_g():
-    f = HomogeneousFunction.radial_power(-2)
+    f = INV_SQ
     with pytest.raises(ValueError, match="invertible"):
         weight_transform_residual(transform_of(f), -1, Frame(E[0], E[1]),
                                   np.zeros((2, 2)))
@@ -264,9 +306,11 @@ def test_weight_transform_rejects_singular_g():
 
 def test_radial_factor_refuses_the_origin_for_products_and_sums():
     f = basis_to_degree_minus_2(harmonic_basis(2)[3])
-    g = f + 2.0 * basis_to_degree_minus_2(harmonic_basis(2)[5])
-    poly = HomogeneousFunction.from_poly(Poly4.monomial((1, 1, 0, 0)))
-    for fn in (f, g, -f, poly, f.compose_linear(2.0 * np.eye(4))):
+    # a sum of two basis functions is one polynomial over |x|^4
+    g = HomogeneousFunction(harmonic_basis(2)[3].poly
+                            + 2 * harmonic_basis(2)[5].poly, -4)
+    poly = HomogeneousFunction(Poly4.monomial((1, 1, 0, 0)))
+    for fn in (f, g, poly, f.compose_linear(2.0 * np.eye(4))):
         with pytest.raises(ValueError, match="origin"):
             fn(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
     # |x|^2 underflows to zero at this point, which is refused like the origin

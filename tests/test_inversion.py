@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -11,9 +12,11 @@ from splitxray.geometry import Frame
 from splitxray.inversion import (design_matrix, injectivity_report,
                                  reconstruct, sample_frames,
                                  save_design_matrix, transform_basis)
+from splitxray.poly import Poly4
 from splitxray.xray import QuadratureSpec
 
 E = np.eye(4)
+INV_SQ = HomogeneousFunction(Poly4.constant(1), -2)
 Q128 = QuadratureSpec(128)
 
 
@@ -36,8 +39,7 @@ def pow_formula_design_matrix(frames, max_degree, n_nodes):
 
 
 def test_design_matrix_single_entry():
-    d = design_matrix([HomogeneousFunction.radial_power(-2)],
-                      [Frame(E[0], E[1])])
+    d = design_matrix([INV_SQ], [Frame(E[0], E[1])])
     assert d.shape == (1, 1)
     assert abs(d.matrix[0, 0] - 2 * np.pi) < 1e-12
 
@@ -57,15 +59,18 @@ def test_design_matrix_matches_the_pow_formula():
 
 
 def test_zero_function_gives_zero_column():
-    basis = [HomogeneousFunction.radial_power(-2),
-             HomogeneousFunction(-2, lambda x: np.zeros(x.shape[:-1]))]
-    d = design_matrix(basis, sample_frames(5, 0))
-    assert_allclose(d.matrix[:, 1], 0.0)
+    # x3^2 |x|^-4 is zero on every frame of the plane of (e1, e2)
+    basis = [INV_SQ, HomogeneousFunction(Poly4.monomial((0, 0, 2, 0)), -4)]
+    frames = [Frame(E[0], E[1]).transform(g)
+              for g in np.random.default_rng(0).normal(size=(5, 2, 2))]
+    d = design_matrix(basis, frames)
+    assert np.all(d.matrix[:, 0] > 0.0)
+    assert np.array_equal(d.matrix[:, 1], np.zeros(5))
 
 
 def test_degree_gate():
     with pytest.raises(ValueError, match="degree -2"):
-        design_matrix([HomogeneousFunction.radial_power(-4)],
+        design_matrix([HomogeneousFunction(Poly4.constant(1), -4)],
                       [Frame(E[0], E[1])])
 
 
@@ -110,10 +115,8 @@ def test_reconstruct_zero_samples():
 
 
 def test_rank_deficiency_names_null_combination():
-    f = basis_to_degree_minus_2(harmonic_basis(0)[0])
-    f.label = "unit"
-    g = 1.0 * f
-    g.label = "copy"
+    f = basis_to_degree_minus_2(harmonic_basis(0)[0], label="unit")
+    g = dataclasses.replace(f, label="copy")
     d = design_matrix([f, g], sample_frames(6, 7))
     with pytest.raises(ValueError) as err:
         reconstruct(np.zeros(6), d)

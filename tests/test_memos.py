@@ -125,8 +125,8 @@ def test_an_array_made_writable_again_is_not_reused():
 def test_points_at_the_origin_are_refused_on_a_memo_hit():
     x = np.array([[1.0, 2.0, 0.5, -1.0], [0.0, 0.0, 0.0, 0.0]])
     x.setflags(write=False)
-    radial = HomogeneousFunction.radial_power(-2)
-    plain = HomogeneousFunction.from_poly(harmonic_basis(2)[3].poly)
+    radial = HomogeneousFunction(Poly4.constant(1), -2)
+    plain = HomogeneousFunction(harmonic_basis(2)[3].poly)
     for f in (radial, plain, radial):
         with pytest.raises(ValueError, match="origin"):
             f(x)

@@ -36,7 +36,7 @@ def test_john_of_linear_field_is_zero():
 
 
 def test_john_annihilates_flagship_transform():
-    phi = xray_chart_field(HomogeneousFunction.radial_power(-2),
+    phi = xray_chart_field(HomogeneousFunction(Poly4.constant(1), -2),
                            QuadratureSpec(128))
     value = john_operator(phi, np.zeros((2, 2)), H)
     assert abs(value) < 1e-6
@@ -209,21 +209,19 @@ def test_coupled_box_dimension_mismatch():
 # ---- moment consistency -----------------------------------------------------------
 
 def test_dn_residual_zero_input():
-    f = HomogeneousFunction(-3, lambda x: np.zeros(x.shape[:-1]))
-    m = moment_chart_field(f, 1)
+    # a zero moment field, which no HomogeneousFunction gives
+    m = lambda X: np.zeros(X.shape[:-2] + (2,))
     assert dn_residual(m, np.zeros((2, 2)), H) == 0.0
 
 
 def test_dn_residual_helicity_one():
-    f = (HomogeneousFunction.from_poly(Poly4.monomial((1, 0, 0, 0)))
-         * HomogeneousFunction.radial_power(-4))
+    f = HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4)
     m = moment_chart_field(f, 1, QuadratureSpec(64))
     assert dn_residual(m, np.zeros((2, 2)), H) < 1e-6
 
 
 def test_dn_residual_helicity_two_random_points():
-    f = (HomogeneousFunction.from_poly(Poly4.monomial((2, 0, 0, 0)))
-         * HomogeneousFunction.radial_power(-6))
+    f = HomogeneousFunction(Poly4.monomial((2, 0, 0, 0)), -6)
     m = moment_chart_field(f, 2, QuadratureSpec(64))
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -232,7 +230,7 @@ def test_dn_residual_helicity_two_random_points():
 
 
 def test_dn_residual_rejects_n_zero():
-    f = HomogeneousFunction.radial_power(-2)
+    f = HomogeneousFunction(Poly4.constant(1), -2)
     m = moment_chart_field(f, 0)
     with pytest.raises(ValueError, match="john"):
         dn_residual(m, np.zeros((2, 2)), H)
@@ -244,7 +242,7 @@ def test_dn_residual_rejects_n_zero():
 def test_nonpositive_step_is_refused(h):
     psi = lambda x: np.array([x[0] ** 2 + 0.0j])
     m = moment_chart_field(
-        HomogeneousFunction(-3, lambda x: np.zeros(x.shape[:-1])), 1)
+        HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4), 1)
     for apply in (lambda: john_operator(np.linalg.det, np.zeros((2, 2)), h),
                   lambda: dn_residual(m, np.zeros((2, 2)), h),
                   lambda: box_diag(psi, np.zeros(4), h),
@@ -317,8 +315,7 @@ def test_batched_dn_residual_equals_per_point_loop(n):
     q = QuadratureSpec(64)
     rng = np.random.default_rng(23 + n)
     for h in harmonic_basis(n)[:3]:
-        f = (HomogeneousFunction.from_poly(h.poly)
-             * HomogeneousFunction.radial_power(-2 * n - 2))
+        f = HomogeneousFunction(h.poly, -2 * n - 2)
         m = moment_chart_field(f, n, q)
         for X in 0.35 * rng.normal(size=(3, 2, 2)):
             def d(k, e):

@@ -13,7 +13,10 @@ from splitxray.xray import (QuadratureSpec, circle_integral, circle_points,
                             xray_transform)
 
 E = np.eye(4)
-INV_SQ = HomogeneousFunction.radial_power(-2)
+INV_SQ = HomogeneousFunction(Poly4.constant(1), -2)
+# x3^2 |x|^-4 vanishes on the plane of (e1, e2); x3 |x|^-4 for moments at n = 1
+X3_SQ = HomogeneousFunction(Poly4.monomial((0, 0, 2, 0)), -4)
+X3 = HomogeneousFunction(Poly4.monomial((0, 0, 1, 0)), -4)
 
 
 def gram_closed_form(frame):
@@ -28,8 +31,9 @@ def test_flagship_value():
 
 
 def test_zero_function():
-    zero = HomogeneousFunction(-2, lambda x: np.zeros(x.shape[:-1]))
-    assert xray_transform(zero, Frame(E[0], E[1])) == 0.0
+    # zero at every node of the circle of (e1, e2), so exactly zero
+    assert xray_transform(X3_SQ, Frame(E[0], E[1])) == 0.0
+    assert xray_transform(X3_SQ, Frame(E[0] + E[1], 2.0 * E[1])) == 0.0
 
 
 def test_scaled_frame_closed_form():
@@ -39,13 +43,14 @@ def test_scaled_frame_closed_form():
 
 def test_quadratic_moment_vanishes():
     h = Poly4.monomial((2, 0, 0, 0)) - Poly4.monomial((0, 2, 0, 0))
-    f = HomogeneousFunction.from_poly(h) * HomogeneousFunction.radial_power(-4)
+    f = HomogeneousFunction(h, -4)
     assert abs(xray_transform(f, Frame(E[0], E[1]))) < 1e-13
 
 
 def test_wrong_degree_rejected():
     with pytest.raises(ValueError, match="degree -2"):
-        xray_transform(HomogeneousFunction.radial_power(-4), Frame(E[0], E[1]))
+        xray_transform(HomogeneousFunction(Poly4.constant(1), -4),
+                       Frame(E[0], E[1]))
 
 
 def test_chart_field_closed_form():
@@ -58,9 +63,9 @@ def test_chart_field_closed_form():
 
 
 def test_chart_field_of_zero():
-    phi = xray_chart_field(
-        HomogeneousFunction(-2, lambda x: np.zeros(x.shape[:-1])))
-    assert phi(np.array([[0.3, -0.2], [0.1, 0.5]])) == 0.0
+    # chart point 0 is the plane of (e1, e2), on which X3_SQ vanishes
+    phi = xray_chart_field(X3_SQ)
+    assert np.array_equal(phi(np.zeros((3, 2, 2))), np.zeros(3))
 
 
 def test_quadrature_spectral_convergence():
@@ -75,7 +80,9 @@ def test_linearity_exact():
     f = basis_to_degree_minus_2(harmonic_basis(2)[1])
     g = basis_to_degree_minus_2(harmonic_basis(2)[6])
     frame = Frame([1.0, 0.1, 0.3, 0], [0, 1.0, -0.2, 0.4])
-    lhs = xray_transform(2.0 * f + (-3.0) * g, frame)
+    # 2 f - 3 g is one polynomial over |x|^4
+    combo = HomogeneousFunction(2 * f.poly - 3 * g.poly, -4)
+    lhs = xray_transform(combo, frame)
     rhs = 2.0 * xray_transform(f, frame) - 3.0 * xray_transform(g, frame)
     assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
 
@@ -131,22 +138,19 @@ def test_circle_integral_constant():
 # ---- moments ------------------------------------------------------------------
 
 def test_moments_helicity_one():
-    f = (HomogeneousFunction.from_poly(Poly4.monomial((1, 0, 0, 0)))
-         * HomogeneousFunction.radial_power(-4))
+    f = HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4)
     phi = xray_moments(f, Frame(E[0], E[1]), 1)
     assert_allclose(phi, [np.pi, 0.0], atol=1e-13)
 
 
 def test_moments_helicity_two():
-    f = (HomogeneousFunction.from_poly(Poly4.monomial((2, 0, 0, 0)))
-         * HomogeneousFunction.radial_power(-6))
+    f = HomogeneousFunction(Poly4.monomial((2, 0, 0, 0)), -6)
     phi = xray_moments(f, Frame(E[0], E[1]), 2)
     assert_allclose(phi, [3 * np.pi / 4, 0.0, np.pi / 4], atol=1e-13)
 
 
 def test_moments_zero_function():
-    f = HomogeneousFunction(-3, lambda x: np.zeros(x.shape[:-1]))
-    assert_allclose(xray_moments(f, Frame(E[0], E[1]), 1), [0.0, 0.0])
+    assert np.array_equal(xray_moments(X3, Frame(E[0], E[1]), 1), [0.0, 0.0])
 
 
 def test_moments_degree_mismatch():
@@ -155,14 +159,15 @@ def test_moments_degree_mismatch():
 
 
 def test_moments_parity_mismatch():
-    # x1 |x|^-5 is odd under x -> -x; declaring it degree -4 passes the
-    # degree gate for n = 2 but must trip the parity probe
-    odd = HomogeneousFunction(
-        -4,
-        lambda x: x[..., 0] * np.einsum("...i,...i->...", x, x) ** -2.5)
-    with pytest.raises(ValueError, match="parity"):
+    # n = 2 needs an even input of degree -4.  An odd one cannot have that
+    # degree: x1 |x|^-5 has no even radial power, and x1 |x|^-4 (degree
+    # -3) is refused by the degree gate
+    with pytest.raises(ValueError, match="even"):
+        HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -5)
+    odd = HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4)
+    with pytest.raises(ValueError, match="degree -4"):
         xray_moments(odd, Frame(E[0], E[1]), 2)
-    with pytest.raises(ValueError, match="parity"):
+    with pytest.raises(ValueError, match="degree -4"):
         moment_chart_field(odd, 2)
 
 
@@ -173,30 +178,26 @@ def test_moments_reduce_to_transform_at_zero():
 
 
 def test_moment_chart_field_components():
-    f = (HomogeneousFunction.from_poly(Poly4.monomial((1, 0, 0, 0)))
-         * HomogeneousFunction.radial_power(-4))
+    f = HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4)
     m = moment_chart_field(f, 1)
     assert m(np.zeros((3, 2, 2))).shape == (3, 2)
     assert_allclose(m(np.zeros((2, 2))), [np.pi, 0.0], atol=1e-13)
 
 
-def test_moment_chart_field_checks_parity_once():
+def test_moment_chart_field_evaluates_the_input_once_per_call():
     shapes = []
-
-    def value(x):
-        shapes.append(x.shape)
-        return x[..., 0] * np.einsum("...i,...i->...", x, x) ** -2
-
-    f = HomogeneousFunction(-3, value)
+    # the moment functions read only .degree and call their input
+    f = lambda x: shapes.append(x.shape) or X3(x)
+    f.degree = X3.degree
     q = QuadratureSpec(16)
     m = moment_chart_field(f, 1, q)
     X = np.array([[0.1, -0.2], [0.3, 0.05]])
     vector = m(X)
     for k in (0, 1):
         assert vector[k] == xray_moments(f, plane_from_chart(X), 1, q)[k]
-    # f(p) and f(-p) once for the field and once per xray_moments call
-    assert shapes.count((4,)) == 2 + 2 * 2
-    assert shapes.count((16, 4)) == 1 + 2
+    # once for the field and once per xray_moments call, on circle points
+    # only: parity follows from the degree, so nothing is probed
+    assert shapes == [(16, 4)] * 3
 
 
 # ---- equivariance ---------------------------------------------------------------
@@ -255,8 +256,7 @@ def test_circle_points_are_c_contiguous_and_own_their_data():
 
 
 def test_moment_vector_matches_components_and_xray_moments():
-    f = (HomogeneousFunction.from_poly(Poly4.monomial((2, 0, 0, 0)))
-         * HomogeneousFunction.radial_power(-6))
+    f = HomogeneousFunction(Poly4.monomial((2, 0, 0, 0)), -6)
     q = QuadratureSpec(32)
     m = moment_chart_field(f, 2, q)
     X = 0.3 * np.random.default_rng(9).normal(size=(4, 2, 2))
