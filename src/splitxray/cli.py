@@ -12,7 +12,9 @@ pinned seeds.
 Configuration is a JSON object (see CONFIG_SCHEMA); a --config file is
 merged under the command-line flags.  Each schema key `foo_bar` but
 `command` is the flag `--foo-bar` of every subcommand, parsed by its schema
-type.  A report's environment records every key of defaults.DEFAULTS.
+type.  Every circle integral of a suite runs on `nodes` quadrature nodes,
+and a report's environment records every key of defaults.DEFAULTS at the
+value that ran.
 """
 
 from __future__ import annotations
@@ -41,17 +43,18 @@ CONFIG_SCHEMA = {
     "properties": {
         "command": {"type": "string"},
         "nodes": {"type": "integer", "minimum": 4},
-        "nodes_john": {"type": "integer", "minimum": 4},
         # a stencil is a local probe: at most 0.1, below the 0.35 scale of
         # the chart points the suites draw.  From about 1e3 the 1/h^2 of the
         # John stencil lets its check pass vacuously, and from 1e10 the
-        # moment and contour stencils raise.
-        "fd_step": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.1},
+        # moment and contour stencils raise.  At least 1e-6: there the John
+        # stencil's rounding floor eps |phi| / h^2 is already about 1e-3, far
+        # above the John tolerance, and below about 1e-17 the stencil points
+        # round onto their centre, so that every check reads exactly 0.
+        "fd_step": {"type": "number", "minimum": 1e-6, "maximum": 0.1},
         "seed": {"type": "integer", "minimum": 0},
         "max_degree": {"type": "integer", "minimum": 0, "multipleOf": 2},
         "n_frames": {"type": "integer", "minimum": 1},
         "connection": {"type": "string"},
-        "pole_margin": {"type": "number", "exclusiveMinimum": 0},
         "state_a": {"type": "array", "minItems": 4, "maxItems": 4,
                     "items": {"type": ["string", "number"]},
                     "description": "comma-separated covector, e.g. '1,0,1j,0'"},
@@ -156,15 +159,6 @@ def _record(cfg, name, value):
                        passed=math.isfinite(value) and value <= tol)
 
 
-# Suites whose plain transforms run at no fewer nodes than this, whatever
-# `nodes` asks for; the report's environment records the count that ran.
-_MIN_NODES = {"verify-weight-law": 128, "reconstruct": 128, "injectivity": 128}
-
-
-def _effective_nodes(cfg):
-    return max(cfg["nodes"], _MIN_NODES.get(cfg["command"], 0))
-
-
 def _check_writable(path, what):
     """Refuse a path whose directory is missing or not writable, so that a
     suite stops before its work instead of after it."""
@@ -184,7 +178,7 @@ def _chart_points(rng, count, scale=0.35):
 
 def _suite_verify_john(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    q = xray.QuadratureSpec(cfg["nodes_john"])
+    q = xray.QuadratureSpec(cfg["nodes"])
     checks = []
     for k in range(0, cfg["max_degree"] + 1, 2):
         residuals = []
@@ -198,7 +192,7 @@ def _suite_verify_john(cfg):
 
 def _suite_verify_weight_law(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    q = xray.QuadratureSpec(_effective_nodes(cfg))
+    q = xray.QuadratureSpec(cfg["nodes"])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     checks = []
     for k in (0, 2):
@@ -316,18 +310,17 @@ def _parse_covector(entries, key):
         raise ConfigError(f"{key}: cannot parse covector component: {e}") from e
 
 
-def _strip_floor(cfg, check, nodes):
+def _strip_floor(cfg, check):
     """Smallest strip half-width d of a frame integrated for `check`: there
     the n-node trapezoid error, about e^(-n d), sits four orders of
     magnitude below the check's tolerance."""
     tol = cfg["tolerances"][check]
-    return math.log(1e4 / tol) / nodes if tol > 0 else math.inf
+    return math.log(1e4 / tol) / cfg["nodes"] if tol > 0 else math.inf
 
 
-def _wide_strip(state, frame, margin, floor):
-    """Pole-safe at `margin`, with every factor's strip at least `floor`
-    wide."""
-    report = penrose.pole_safety(state, frame, margin)
+def _wide_strip(state, frame, floor):
+    """Pole-safe, with every factor's strip at least `floor` wide."""
+    report = penrose.pole_safety(state, frame)
     return report.ok and min(report.half_widths) >= floor
 
 
@@ -342,7 +335,7 @@ _BASE_CHART_DET_FLOOR = 0.3
 _BASE_MARGIN_FLOOR = 0.3
 
 
-def _penrose_base_frame(state, rng, margin, ratio_floor, john_floor):
+def _penrose_base_frame(state, rng, ratio_floor, john_floor):
     """A seeded chart-friendly frame with a wide pole margin, sitting in a
     component where the transform is not identically zero (mixed factor
     orientation).  The John check integrates around the chart frame of the
@@ -358,8 +351,8 @@ def _penrose_base_frame(state, rng, margin, ratio_floor, john_floor):
         if len(set(penrose.factor_orientation(state, fr))) != 2:
             continue
         chart_frame = geometry.plane_from_chart(geometry.chart_from_plane(fr))
-        if not (_wide_strip(state, fr, margin, ratio_floor)
-                and _wide_strip(state, chart_frame, margin, john_floor)):
+        if not (_wide_strip(state, fr, ratio_floor)
+                and _wide_strip(state, chart_frame, john_floor)):
             continue
         return fr, chart_frame
     raise ConfigError("no wide-margin pole-safe frame found for this "
@@ -378,21 +371,19 @@ def _suite_penrose_elementary(cfg):
         np.array_equal(a, _parse_covector(DEFAULTS["state_a"], "state_a"))
         and np.array_equal(b, _parse_covector(DEFAULTS["state_b"], "state_b")))
     rng = np.random.default_rng(cfg["seed"])
-    ratio_floor = _strip_floor(cfg, "penrose_ratio_spread", cfg["nodes"])
-    john_floor = _strip_floor(cfg, "penrose_john", cfg["nodes_john"])
+    ratio_floor = _strip_floor(cfg, "penrose_ratio_spread")
+    john_floor = _strip_floor(cfg, "penrose_john")
 
     checks = []
     if is_default:
-        # closed-form anchor: this state integrates to -2 pi i on (e1, e3)
+        # closed-form anchor: this state integrates to -2 pi i on (e1, e3),
+        # whose circle passes at distance 1 from its poles
         frame = geometry.Frame(np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 1, 0]))
-        try:
-            value = penrose.contour_transform(state, frame, q, cfg["pole_margin"])
-        except penrose.PoleProximityError as e:
-            raise ConfigError(f"pole_margin refuses the anchor frame: {e}") from e
+        value = penrose.contour_transform(state, frame, q)
         checks.append(_record(cfg, "penrose_value", abs(value - (-2j * np.pi))))
 
-    base, chart_frame = _penrose_base_frame(state, rng, cfg["pole_margin"],
-                                            ratio_floor, john_floor)
+    base, chart_frame = _penrose_base_frame(state, rng, ratio_floor,
+                                            john_floor)
     signature = penrose.factor_orientation(state, base)
 
     # ratio constancy holds per component; stay in the component of `base`
@@ -405,11 +396,11 @@ def _suite_penrose_elementary(cfg):
                               "too small for the ratio check")
         fr = geometry.Frame(base.u + 0.1 * rng.normal(size=4),
                             base.v + 0.1 * rng.normal(size=4))
-        if not _wide_strip(state, fr, cfg["pole_margin"], ratio_floor):
+        if not _wide_strip(state, fr, ratio_floor):
             continue
         if penrose.factor_orientation(state, fr) != signature:
             continue
-        ratios.append(penrose.contour_transform(state, fr, q, cfg["pole_margin"])
+        ratios.append(penrose.contour_transform(state, fr, q)
                       * penrose.wedge_pairing(a, b, fr))
     ratios = np.array(ratios)
     spread = float(np.max(np.abs(ratios - np.mean(ratios)))
@@ -418,8 +409,7 @@ def _suite_penrose_elementary(cfg):
 
     X0 = np.asarray(geometry.chart_from_plane(base))
     chart_signature = penrose.factor_orientation(state, chart_frame)
-    phi = penrose.contour_chart_field(state, xray.QuadratureSpec(cfg["nodes_john"]),
-                                      cfg["pole_margin"])
+    phi = penrose.contour_chart_field(state, q)
     residuals = []
     tried = 0
     for dX in _chart_points(rng, 40, scale=0.05):
@@ -427,7 +417,7 @@ def _suite_penrose_elementary(cfg):
             break
         X = X0 + dX
         fr = geometry.plane_from_chart(X)
-        if not _wide_strip(state, fr, cfg["pole_margin"], john_floor):
+        if not _wide_strip(state, fr, john_floor):
             continue
         if penrose.factor_orientation(state, fr) != chart_signature:
             continue
@@ -466,7 +456,7 @@ def _suite_geometry_roundtrip(cfg):
 def _suite_reconstruct(cfg):
     if cfg["save_design"]:
         _check_writable(cfg["save_design"], "the design matrix")
-    q = xray.QuadratureSpec(_effective_nodes(cfg))
+    q = xray.QuadratureSpec(cfg["nodes"])
     basis = inversion.transform_basis(cfg["max_degree"])
     if cfg["n_frames"] < len(basis):
         raise ConfigError(
@@ -490,7 +480,7 @@ def _suite_reconstruct(cfg):
 
 
 def _suite_injectivity(cfg):
-    q = xray.QuadratureSpec(_effective_nodes(cfg))
+    q = xray.QuadratureSpec(cfg["nodes"])
     try:
         report = inversion.injectivity_report(cfg["max_degree"], cfg["n_frames"],
                                               cfg["seed"], q)
@@ -527,9 +517,8 @@ def _run_merged(cfg) -> Report:
     if command not in SUITES:
         raise ConfigError(f"unknown command {command!r}")
     checks = SUITES[command](cfg)
-    env = {k: cfg[k] for k in DEFAULTS}
-    env["nodes_effective"] = _effective_nodes(cfg)
-    return Report(command=command, checks=checks, environment=env,
+    return Report(command=command, checks=checks,
+                  environment={k: cfg[k] for k in DEFAULTS},
                   overall=all(c.passed for c in checks),
                   timestamp=datetime.now(timezone.utc).isoformat())
 

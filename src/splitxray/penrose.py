@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import DEFAULTS
+from .defaults import POLE_MARGIN
 from .geometry import Frame, chart_frame_rows
 from .xray import QuadratureSpec, circle_integral, circle_points
 
@@ -89,11 +89,6 @@ class TwistorRationalFunction:
         for a, m in self.factors:
             out = out * (z @ a) ** m
         return out
-
-    def __mul__(self, c):
-        return TwistorRationalFunction(self.factors, self.scale * c)
-
-    __rmul__ = __mul__
 
 
 def elementary_state(a, b) -> TwistorRationalFunction:
@@ -181,7 +176,7 @@ def _pole_report(f: TwistorRationalFunction, u, v, margin) -> PoleSafetyReport:
 
 
 def pole_safety(f: TwistorRationalFunction, frame: Frame,
-                margin=DEFAULTS["pole_margin"]) -> PoleSafetyReport:
+                margin=POLE_MARGIN) -> PoleSafetyReport:
     """Exact per-factor pole distances and strip half-widths (closed form)."""
     return _pole_report(f, frame.u.tolist(), frame.v.tolist(), margin)
 
@@ -196,7 +191,7 @@ def _refuse_unsafe(report: PoleSafetyReport):
 
 def contour_transform(f: TwistorRationalFunction, frame: Frame,
                       q: QuadratureSpec = QuadratureSpec(),
-                      margin=DEFAULTS["pole_margin"]):
+                      margin=POLE_MARGIN):
     """Circle integral of f over the frame (same nodes as the X-ray engine).
 
     Requires homogeneity -2 and a pole-safe frame; the result is a weight
@@ -211,7 +206,7 @@ def contour_transform(f: TwistorRationalFunction, frame: Frame,
 
 def contour_chart_field(f: TwistorRationalFunction,
                         q: QuadratureSpec = QuadratureSpec(),
-                        margin=DEFAULTS["pole_margin"]):
+                        margin=POLE_MARGIN):
     """Chart restriction of the contour transform (complex-valued), as a
     chart field (see operators): chart points of shape (..., 2, 2) give
     values of shape (...).  Every point's circle is checked for poles, as in

@@ -104,8 +104,7 @@ def test_criterion_07_split_instanton():
 
 def test_criterion_08_penrose_avatar():
     run_suite(8, "penrose-elementary", 108,
-              ["penrose_value", "penrose_ratio_spread", "penrose_john"],
-              nodes=128)
+              ["penrose_value", "penrose_ratio_spread", "penrose_john"])
 
 
 def test_criterion_09_geometry():

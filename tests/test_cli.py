@@ -7,7 +7,7 @@ import pytest
 
 from splitxray import cli, inversion, operators, penrose, xray
 from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
-from splitxray.defaults import DEFAULTS, TOLERANCES
+from splitxray.defaults import DEFAULTS, POLE_MARGIN, TOLERANCES
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +59,6 @@ def test_injectivity_with_too_few_frames_exits_2(capsys):
     code = main(["injectivity", "--n-frames", "5", "--max-degree", "2"])
     assert code == 2
     assert "10" in capsys.readouterr().err
-
-
-def test_pole_margin_that_refuses_the_anchor_exits_2(capsys):
-    # the anchor frame's circle passes at distance 1.0 from the state's poles
-    assert main(["penrose-elementary", "--pole-margin", "10"]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: pole_margin refuses the anchor frame")
 
 
 def test_invalid_config_value_exits_2(tmp_path, capsys):
@@ -162,7 +155,7 @@ def test_environment_records_every_input(tmp_path, default_runs):
     assert report.environment["save_design"] == prefix
     assert {p.name for p in tmp_path.iterdir()} == {"design.csv", "design.json"}
     for report in default_runs.values():
-        assert set(report.environment) == {*DEFAULTS, "nodes_effective"}
+        assert set(report.environment) == set(DEFAULTS)
         assert report.environment["save_design"] is None
 
 
@@ -176,7 +169,7 @@ def test_penrose_elementary_passes_at_formerly_failing_seeds(seed):
 
 def test_defaults_table_is_consistent():
     assert DEFAULTS["tolerances"] == TOLERANCES
-    assert DEFAULTS["nodes"] == 64 and DEFAULTS["nodes_john"] == 128
+    assert DEFAULTS["nodes"] == 128
     assert DEFAULTS["fd_step"] == 1e-3
     assert set(CONFIG_SCHEMA["properties"]) == {*DEFAULTS, "command",
                                                 "output", "format"}
@@ -185,15 +178,17 @@ def test_defaults_table_is_consistent():
                      operators.coupled_box, operators.box_diag):
         step = inspect.signature(operator).parameters["h"]
         assert step.default == DEFAULTS["fd_step"]
-    margin = inspect.signature(penrose.pole_safety).parameters["margin"]
-    assert margin.default == DEFAULTS["pole_margin"]
+    for function in (penrose.pole_safety, penrose.contour_transform,
+                     penrose.contour_chart_field):
+        margin = inspect.signature(function).parameters["margin"]
+        assert margin.default == POLE_MARGIN
 
 
 def test_every_config_key_is_a_flag_of_every_subcommand():
     expected = {"--config"} | {"--" + key.replace("_", "-")
                                for key in CONFIG_SCHEMA["properties"]
                                if key != "command"}
-    assert len(expected) == 15
+    assert len(expected) == 13
     sub, = (a for a in cli._build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli.SUITES)
@@ -223,24 +218,25 @@ def test_nan_residual_after_the_first_fails_its_check(monkeypatch):
     assert report.checks[1].passed and not report.overall
 
 
-@pytest.mark.parametrize("command, nodes, ran", [
-    ("verify-weight-law", 32, 128),
-    ("verify-weight-law", 200, 200),
-    ("reconstruct", 32, 128),
-    ("injectivity", 32, 128),
-    ("verify-equivariance", 32, 32),
+# Every suite that integrates over circles, at a count above the default,
+# and at 32 the three suites that a hidden floor used to raise to 128.
+@pytest.mark.parametrize("command, nodes", [
+    *((command, 200) for command in (
+        "verify-john", "verify-weight-law", "verify-equivariance",
+        "verify-moments", "penrose-elementary", "reconstruct", "injectivity")),
+    ("verify-weight-law", 32),
+    ("reconstruct", 32),
+    ("injectivity", 32),
 ])
-def test_environment_records_the_nodes_that_ran(monkeypatch, command, nodes,
-                                                ran):
+def test_environment_records_the_nodes_that_ran(monkeypatch, command, nodes):
     built = []
     spec = xray.QuadratureSpec
     monkeypatch.setattr(xray, "QuadratureSpec",
                         lambda n: built.append(n) or spec(n))
     report = run({"command": command, "nodes": nodes, "max_degree": 2,
                   "n_frames": 12})
-    assert set(built) == {ran}
+    assert set(built) == {nodes}
     assert report.environment["nodes"] == nodes
-    assert report.environment["nodes_effective"] == ran
 
 
 def test_every_default_is_read_by_some_suite(default_runs):
@@ -256,13 +252,11 @@ def test_every_default_is_read_by_some_suite(default_runs):
 # value of the key that changes the name, value or tolerance of a check.
 SECOND_VALUES = {
     "nodes": ("verify-moments", 32),
-    "nodes_john": ("verify-john", 64),
     "fd_step": ("verify-coupled-box", 2e-3),
     "seed": ("verify-coupled-box", 1),
     "max_degree": ("verify-john", 2),
     "n_frames": ("reconstruct", 40),
     "connection": ("verify-selfdual", "asd-u1"),
-    "pole_margin": ("penrose-elementary", 0.9),
     "state_a": ("penrose-elementary", ["1", "0", "2j", "0"]),
     "state_b": ("penrose-elementary", ["2j", "0", "1", "0"]),
     "tolerances": ("verify-selfdual", {"selfdual": 1e-3}),
@@ -330,12 +324,17 @@ REFUSED_EDGES = [
     ("--connection", "nosuch", ["verify-selfdual", "verify-gauge"]),
     ("--fd-step", "1e300", ["verify-john", "verify-moments",
                             "verify-coupled-box", "penrose-elementary"]),
+    # below about 1e-17 the stencil points round onto their centre and
+    # every residual reads exactly 0.0
+    ("--fd-step", "1e-20", ["verify-john", "verify-moments",
+                            "verify-coupled-box", "penrose-elementary"]),
 ]
 # Accepted edges, on cheap suites that read the key, with their exit code.
 ACCEPTED_EDGES = [
     ("verify-coupled-box", "--seed", "0", 0),
     ("reconstruct", "--max-degree", "0", 0),
     ("verify-moments", "--fd-step", "0.1", 1),
+    ("verify-moments", "--fd-step", "1e-6", 0),
     ("penrose-elementary", "--fd-step", "0.1", 0),
 ]
 
