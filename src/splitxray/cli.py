@@ -1,10 +1,10 @@
 """Experiment harness: named verification suites with machine-readable reports.
 
-Each subcommand runs a fixed list of checks against the tolerances in
-defaults.TOLERANCES (overridable per check), assembles a Report, and exits
-0 when every check passes, 1 on check failure, and 2 on usage or
-configuration errors.  Reports are deterministic for a fixed seed up to
-the timestamp field.
+Each subcommand runs a fixed list of checks against the tolerances pinned
+in defaults.TOLERANCES, which no configuration changes, assembles a
+Report, and exits 0 when every check passes, 1 on check failure, and 2 on
+usage or configuration errors.  Reports are deterministic for a fixed seed
+up to the timestamp field.
 
 The suites are the catalogue of checks; the acceptance tests run them at
 pinned seeds.
@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import fields, geometry, instanton, inversion, operators, penrose, xray
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, TOLERANCES
 from .operators import worst_residual
 from .poly import Poly4
 
@@ -67,13 +67,6 @@ CONFIG_SCHEMA = {
         "output": {"type": ["string", "null"],
                    "description": "write the report to this path"},
         "format": {"enum": ["json", "csv"]},
-        "tolerances": {
-            "type": "object",
-            "description": "JSON object of per-check tolerance overrides",
-            "additionalProperties": False,
-            "properties": {k: {"type": "number", "minimum": 0}
-                           for k in DEFAULTS["tolerances"]},
-        },
     },
 }
 
@@ -119,18 +112,13 @@ class Report:
 
 
 def _merge_config(command, file_config, flag_values):
-    cfg = {k: v for k, v in DEFAULTS.items()}
-    cfg["tolerances"] = dict(DEFAULTS["tolerances"])
+    cfg = dict(DEFAULTS)
     cfg["command"] = command
     cfg["output"] = None
     cfg["format"] = "json"
     for source in (file_config, flag_values):
         for key, value in source.items():
-            if value is None:
-                continue
-            if key == "tolerances":
-                cfg["tolerances"].update(value)
-            else:
+            if value is not None:
                 cfg[key] = value
     return cfg
 
@@ -152,8 +140,8 @@ def _validate_config(cfg):
             from error
 
 
-def _record(cfg, name, value):
-    tol = cfg["tolerances"][name.split(":")[0]]
+def _record(name, value):
+    tol = TOLERANCES[name.split(":")[0]]
     value = float(value)
     return CheckRecord(name=name, value=value, tolerance=tol,
                        passed=math.isfinite(value) and value <= tol)
@@ -186,7 +174,7 @@ def _suite_verify_john(cfg):
             phi = xray.xray_chart_field(fields.basis_to_degree_minus_2(h), q)
             residuals += [abs(operators.john_operator(phi, X, cfg["fd_step"]))
                           for X in _chart_points(rng, 10)]
-        checks.append(_record(cfg, f"john:deg{k}", worst_residual(residuals)))
+        checks.append(_record(f"john:deg{k}", worst_residual(residuals)))
     return checks
 
 
@@ -205,8 +193,7 @@ def _suite_verify_weight_law(cfg):
             residuals += [fields.weight_transform_residual(
                 lambda fr: xray.xray_transform(f, fr, q), -1, frame, g)
                 for g in gs]
-        checks.append(_record(cfg, f"weight_law:deg{k}",
-                              worst_residual(residuals)))
+        checks.append(_record(f"weight_law:deg{k}", worst_residual(residuals)))
     return checks
 
 
@@ -222,7 +209,7 @@ def _suite_verify_equivariance(cfg):
             residuals += [xray.equivariance_residual(f, xray.random_sl4(rng),
                                                      frames, q)
                           for _ in range(10)]
-        checks.append(_record(cfg, f"equivariance:deg{k}",
+        checks.append(_record(f"equivariance:deg{k}",
                               worst_residual(residuals)))
     return checks
 
@@ -238,7 +225,7 @@ def _suite_verify_moments(cfg):
             m = xray.moment_chart_field(f, n, q)
             residuals += [operators.dn_residual(m, X, cfg["fd_step"])
                           for X in _chart_points(rng, 5)]
-        checks.append(_record(cfg, f"moments:n{n}", worst_residual(residuals)))
+        checks.append(_record(f"moments:n{n}", worst_residual(residuals)))
     return checks
 
 
@@ -257,7 +244,7 @@ def _suite_verify_selfdual(cfg):
     rng = np.random.default_rng(cfg["seed"])
     conn = _connection(cfg)
     points = _instanton_points(rng)
-    checks = [_record(cfg, f"selfdual:{conn.name}",
+    checks = [_record(f"selfdual:{conn.name}",
                       instanton.selfdual_residual(conn, points))]
     residuals = []
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
@@ -265,7 +252,7 @@ def _suite_verify_selfdual(cfg):
         F[i, j], F[j, i] = 1.0, -1.0
         twice = instanton.hodge_star(instanton.hodge_star(F))
         residuals.append(instanton.two_form_norm(twice - F))
-    checks.append(_record(cfg, "star_involution", worst_residual(residuals)))
+    checks.append(_record("star_involution", worst_residual(residuals)))
     return checks
 
 
@@ -277,7 +264,7 @@ def _suite_verify_gauge(cfg):
     points = _instanton_points(rng)
     base = instanton.selfdual_residual(conn, points)
     after = instanton.selfdual_residual(moved, points)
-    return [_record(cfg, f"gauge_invariance:{conn.name}", abs(after - base))]
+    return [_record(f"gauge_invariance:{conn.name}", abs(after - base))]
 
 
 def _suite_verify_coupled_box(cfg):
@@ -286,20 +273,20 @@ def _suite_verify_coupled_box(cfg):
     x0 = np.array([1.0, 0.0, 2.0, 0.0])
     one = lambda x: np.array([1.0 + 0.0j])
     value = operators.coupled_box(conn, one, x0, h)[0]
-    checks = [_record(cfg, "coupled_box:hand-value",
+    checks = [_record("coupled_box:hand-value",
                       abs(value - (-x0[0] ** 2 + x0[2] ** 2)))]
 
     g = instanton.scalar_phase(Poly4.monomial((1, 1, 0, 0)))
     moved = instanton.gauge_transform(conn, g)
     psi = lambda x: np.array([np.exp(0.3 * x[0]) * np.sin(x[2]) + 0.2 * x[1],
                               ], dtype=complex)
-    gpsi = lambda x: g.at(x) @ psi(x)
+    gpsi = lambda x: g.value(x) @ psi(x)
     rng = np.random.default_rng(cfg["seed"])
     worst = worst_residual(
         np.linalg.norm(operators.coupled_box(moved, gpsi, x, h)
-                       - g.at(x) @ operators.coupled_box(conn, psi, x, h))
+                       - g.value(x) @ operators.coupled_box(conn, psi, x, h))
         for x in _instanton_points(rng, 3))
-    checks.append(_record(cfg, "gauge_covariance", worst))
+    checks.append(_record("gauge_covariance", worst))
     return checks
 
 
@@ -314,8 +301,7 @@ def _strip_floor(cfg, check):
     """Smallest strip half-width d of a frame integrated for `check`: there
     the n-node trapezoid error, about e^(-n d), sits four orders of
     magnitude below the check's tolerance."""
-    tol = cfg["tolerances"][check]
-    return math.log(1e4 / tol) / cfg["nodes"] if tol > 0 else math.inf
+    return math.log(1e4 / TOLERANCES[check]) / cfg["nodes"]
 
 
 def _wide_strip(state, frame, floor):
@@ -380,7 +366,7 @@ def _suite_penrose_elementary(cfg):
         # whose circle passes at distance 1 from its poles
         frame = geometry.Frame(np.array([1.0, 0, 0, 0]), np.array([0.0, 0, 1, 0]))
         value = penrose.contour_transform(state, frame, q)
-        checks.append(_record(cfg, "penrose_value", abs(value - (-2j * np.pi))))
+        checks.append(_record("penrose_value", abs(value - (-2j * np.pi))))
 
     base, chart_frame = _penrose_base_frame(state, rng, ratio_floor,
                                             john_floor)
@@ -405,7 +391,7 @@ def _suite_penrose_elementary(cfg):
     ratios = np.array(ratios)
     spread = float(np.max(np.abs(ratios - np.mean(ratios)))
                    / max(abs(np.mean(ratios)), 1e-30))
-    checks.append(_record(cfg, "penrose_ratio_spread", spread))
+    checks.append(_record("penrose_ratio_spread", spread))
 
     X0 = np.asarray(geometry.chart_from_plane(base))
     chart_signature = penrose.factor_orientation(state, chart_frame)
@@ -425,7 +411,7 @@ def _suite_penrose_elementary(cfg):
         tried += 1
     if tried == 0:
         raise ConfigError("no pole-safe chart neighborhood for the John check")
-    checks.append(_record(cfg, "penrose_john", worst_residual(residuals)))
+    checks.append(_record("penrose_john", worst_residual(residuals)))
     return checks
 
 
@@ -449,8 +435,8 @@ def _suite_geometry_roundtrip(cfg):
         conj_sign = plane.orientation_sign(geometry.pi_project(z.conj()))
         if sign < 0 or conj_sign > 0:
             worst_orient = 1.0
-    return [_record(cfg, "geometry_roundtrip", worst_residual(roundtrip)),
-            _record(cfg, "geometry_roundtrip:orientation", worst_orient)]
+    return [_record("geometry_roundtrip", worst_residual(roundtrip)),
+            _record("geometry_roundtrip:orientation", worst_orient)]
 
 
 def _suite_reconstruct(cfg):
@@ -476,7 +462,7 @@ def _suite_reconstruct(cfg):
         samples = d.matrix @ c
         report = inversion.reconstruct(samples, d, true_coefficients=c)
         errors.append(report.relative_coefficient_error)
-    return [_record(cfg, "reconstruction", worst_residual(errors))]
+    return [_record("reconstruction", worst_residual(errors))]
 
 
 def _suite_injectivity(cfg):
@@ -486,7 +472,7 @@ def _suite_injectivity(cfg):
                                               cfg["seed"], q)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return [_record(cfg, "rank_defect", float(report.dimension - report.rank))]
+    return [_record("rank_defect", float(report.dimension - report.rank))]
 
 
 SUITES = {
@@ -523,16 +509,9 @@ def _run_merged(cfg) -> Report:
                   timestamp=datetime.now(timezone.utc).isoformat())
 
 
-def _json_object(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise argparse.ArgumentTypeError(f"not valid JSON: {e}") from e
-
-
 # How a flag's text becomes a value of its schema type; other flags are text.
 _FLAG_TYPES = {"integer": int, "number": float,
-               "array": lambda text: text.split(","), "object": _json_object}
+               "array": lambda text: text.split(",")}
 
 
 def _build_parser():

@@ -2,7 +2,9 @@
 
 Every CLI suite and the acceptance tests read from here, and every
 tolerance is read by some suite; nothing else in the package hardcodes a
-tolerance.
+tolerance.  The keys of DEFAULTS are the configuration keys a run may set
+(besides `command`, `output` and `format`); the tolerances are not among
+them, so a check always compares against the value pinned here.
 
 ================  ===========  ==========================================
 key               default      meaning
@@ -17,7 +19,6 @@ connection        flagship-u1  named connection preset
 state_a           1,0,1j,0     elementary-state covectors of
 state_b           1j,0,1,0     penrose-elementary
 save_design       None         path prefix for the design-matrix CSV + JSON
-tolerances        TOLERANCES   per-check tolerances
 ================  ===========  ==========================================
 
 Tolerances, one per check name before its ":" (see TOLERANCES for the
@@ -66,5 +67,4 @@ DEFAULTS = {
     "state_b": ["1j", "0", "1", "0"],
     # optional path prefix for the design-matrix CSV + JSON sidecar
     "save_design": None,
-    "tolerances": dict(TOLERANCES),
 }

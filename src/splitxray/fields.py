@@ -1,11 +1,10 @@
 """Homogeneous functions on R^4 minus the origin, harmonic bases, and the
 weight law of functions of frames.
 
-A HomogeneousFunction is data, not a closure: a homogeneous polynomial, an
-even power of |x| and an optional linear change of variable, with the
-exact integer degree they imply.  Every input that the transforms
-integrate has this form; a sum of such inputs of one radial power is one
-polynomial.  Harmonic polynomial bases are built in closed form with exact
+A HomogeneousFunction is data, not a closure: a homogeneous polynomial and
+an even power of |x|, with the exact integer degree they imply.  Every
+input that the transforms integrate has this form; a sum of such inputs
+of one radial power is one polynomial.  Harmonic polynomial bases are built in closed form with exact
 rational coefficients, so basis elements have an identically zero
 Laplacian coefficient table before any floats appear; a harmonic
 polynomial is evaluated through its `poly`.
@@ -14,7 +13,7 @@ polynomial is evaluated through its `poly`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -26,11 +25,10 @@ from .poly import Poly4, exponents_of_degree, frozen
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousFunction:
-    """x -> poly(y) * |y|^power with y = matrix @ x, on R^4 \\ {0}.
+    """x -> poly(x) * |x|^power on R^4 \\ {0}.
 
-    poly is a nonzero homogeneous Poly4, power an even integer and matrix
-    an invertible 4x4 matrix or None for the identity.  The degree,
-    poly.degree + power, is exact and stored at construction: f(t x)
+    poly is a nonzero homogeneous Poly4 and power an even integer.  The
+    degree, poly.degree + power, is exact and stored at construction: f(t x)
     equals t**degree * f(x) for every nonzero real t, and in particular
     f(-x) = (-1)**degree * f(x) bit for bit, since poly is homogeneous and
     the radial factor even.
@@ -41,7 +39,6 @@ class HomogeneousFunction:
 
     poly: Poly4
     power: int = 0
-    matrix: Optional[np.ndarray] = None
     label: Optional[str] = None
     degree: int = field(init=False)
 
@@ -53,25 +50,11 @@ class HomogeneousFunction:
         object.__setattr__(self, "power", operator.index(self.power))
         if self.power % 2 != 0:
             raise ValueError("radial power must be even to be homogeneous")
-        if self.matrix is not None:
-            g = np.array(self.matrix, dtype=float)
-            if g.shape != (4, 4) or np.linalg.det(g) == 0.0:
-                raise ValueError("matrix must be an invertible 4x4 matrix")
-            g.setflags(write=False)
-            object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "degree", self.poly.degree + self.power)
 
     def __call__(self, x):
-        y = _real_points(x)
-        if self.matrix is not None:
-            y = y @ self.matrix.T
-        return self.poly(y) * _refuse_origin(y) ** (self.power // 2)
-
-    def compose_linear(self, g):
-        """x -> f(g x) for an invertible 4x4 matrix g; same degree."""
-        g = np.asarray(g, dtype=float)
-        return replace(self, matrix=g if self.matrix is None
-                       else self.matrix @ g)
+        x = _real_points(x)
+        return self.poly(x) * _refuse_origin(x) ** (self.power // 2)
 
 
 def _refuse_origin(x):

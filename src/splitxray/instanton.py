@@ -127,15 +127,6 @@ class GaugeMap:
         self.partial = partial
         self.second = second
 
-    def at(self, x):
-        return np.asarray(self.value(np.asarray(x, dtype=float)))
-
-    def partial_at(self, i, x):
-        return np.asarray(self.partial(i, np.asarray(x, dtype=float)))
-
-    def second_at(self, i, j, x):
-        return np.asarray(self.second(i, j, np.asarray(x, dtype=float)))
-
 
 def scalar_phase(chi: Poly4, n=1) -> GaugeMap:
     """g = exp(i chi) times the identity, for a real polynomial phase chi."""
@@ -174,22 +165,22 @@ def gauge_transform(A: Connection, g: GaugeMap) -> Connection:
 
     def component(j):
         def ev(x):
-            gx = g.at(x)
+            gx = g.value(x)
             ginv = np.linalg.inv(gx)
-            return gx @ A.coefficient(j, x) @ ginv - g.partial_at(j, x) @ ginv
+            return gx @ A.coefficient(j, x) @ ginv - g.partial(j, x) @ ginv
         return ev
 
     def partial(i, j):
         def ev(x):
-            gx = g.at(x)
+            gx = g.value(x)
             ginv = np.linalg.inv(gx)
-            di_g = g.partial_at(i, x)
-            dj_g = g.partial_at(j, x)
+            di_g = g.partial(i, x)
+            dj_g = g.partial(j, x)
             aj = A.coefficient(j, x)
             return (di_g @ aj @ ginv
                     + gx @ A.partial(i, j, x) @ ginv
                     - gx @ aj @ ginv @ di_g @ ginv
-                    - g.second_at(i, j, x) @ ginv
+                    - g.second(i, j, x) @ ginv
                     + dj_g @ ginv @ di_g @ ginv)
         return ev
 

@@ -198,13 +198,13 @@ def equivariance_residual(f: HomogeneousFunction, g, frames,
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4) or np.linalg.det(g) == 0.0:
         raise ValueError("g must be an invertible 4x4 matrix")
-    fg = f.compose_linear(g)
     rows = np.array([[frame.u, frame.v] for frame in frames]).reshape(-1, 2, 4)
     # one matrix-vector product per vector, as in Frame.ambient_transform, so
     # the moved frames equal its frames bit for bit
     moved = np.array([[g @ u, g @ v] for u, v in rows]).reshape(-1, 2, 4)
     check_frames(moved)
-    return worst_residual(np.abs(circle_integral(fg(circle_points(rows, q)), q)
+    fg = f(circle_points(rows, q) @ g.T)
+    return worst_residual(np.abs(circle_integral(fg, q)
                                  - circle_integral(f(circle_points(moved, q)), q)))
 
 

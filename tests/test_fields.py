@@ -51,7 +51,7 @@ def test_eval_rejects_origin():
 def test_complex_points_are_refused():
     g = basis_to_degree_minus_2(harmonic_basis(2)[4])
     z = np.array([1.0, 0.5j, -0.3, 0.2])
-    for f in (g, INV_SQ, g.compose_linear(2.0 * np.eye(4))):
+    for f in (g, INV_SQ):
         with pytest.raises(TypeError, match="complex"):
             f(z)
     # refused by dtype even with a zero imaginary part
@@ -73,8 +73,7 @@ def test_homogeneity_scaling(xs, p):
 
 def test_scaling_identity_100_points():
     # f(t x) = t^deg f(x) for polynomials times radial powers, a sum of
-    # them (2.5 |x|^-2 - h |x|^-4 as one polynomial over |x|^4) and linear
-    # changes of variable
+    # them (2.5 |x|^-2 - h |x|^-4 as one polynomial over |x|^4)
     h = Poly4.monomial((2, 0, 0, 0)) - Poly4.monomial((0, 2, 0, 0))
     prod = HomogeneousFunction(h, -4)
     r2 = Poly4({tuple(2 * e): 1 for e in np.eye(4, dtype=int)})
@@ -85,7 +84,7 @@ def test_scaling_identity_100_points():
         basis_to_degree_minus_2(harmonic_basis(4)[11]),
         HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4),
         HomogeneousFunction(2.5 * r2 - h, -4),
-        prod.compose_linear(rng.normal(size=(4, 4)) + 2 * np.eye(4)),
+        prod,
     ]
     for f in funcs:
         x = rng.normal(size=(100, 4))
@@ -99,7 +98,6 @@ def test_degree_bookkeeping():
     xy = Poly4.monomial((1, 1, 0, 0))
     assert HomogeneousFunction(xy).degree == 2
     assert HomogeneousFunction(xy, -6).degree == -4
-    assert HomogeneousFunction(xy, -6).compose_linear(2.0 * np.eye(4)).degree == -4
     # a sum of terms of different degree has none
     with pytest.raises(ValueError, match="homogeneous"):
         HomogeneousFunction(xy + Poly4.monomial((1, 0, 0, 0)), -4)
@@ -132,28 +130,16 @@ def homogeneous_polys(draw):
 def test_parity_and_change_of_variable_hold_by_construction(poly, power, xs,
                                                             seed):
     # poly is homogeneous and the radial factor even, so f(-x) is
-    # (-1)^degree f(x) bit for bit, with or without a matrix
+    # (-1)^degree f(x) bit for bit, also after the change of variable
+    # x -> g x that equivariance_residual applies to the rows x of points
     x = np.reshape(xs, (2, 4))
     if np.min(np.linalg.norm(x, axis=-1)) < 0.1:
         return
     f = HomogeneousFunction(poly, power)
+    assert f.degree == poly.degree + power
     g = np.random.default_rng(seed).normal(size=(4, 4)) + 3.0 * np.eye(4)
-    fg = f.compose_linear(g)
-    assert f.degree == fg.degree == poly.degree + power
-    for fn in (f, fg):
-        assert np.array_equal(fn(-x), (-1.0) ** fn.degree * fn(x))
-    # f(g x) for each point x, a row of x
-    assert np.array_equal(fg(x), f(x @ g.T))
-
-
-def test_compose_linear_matches_pointwise():
-    f = basis_to_degree_minus_2(harmonic_basis(2)[2])
-    rng = np.random.default_rng(2)
-    g = rng.normal(size=(4, 4)) + 2 * np.eye(4)
-    fg = f.compose_linear(g)
-    for _ in range(5):
-        x = rng.normal(size=4)
-        assert_allclose(fg(x), f(g @ x), rtol=1e-12)
+    assert np.array_equal(f(-x), (-1.0) ** f.degree * f(x))
+    assert np.array_equal(f(-x @ g.T), (-1.0) ** f.degree * f(x @ g.T))
 
 
 # ---- harmonic bases ----------------------------------------------------------
@@ -310,7 +296,7 @@ def test_radial_factor_refuses_the_origin_for_products_and_sums():
     g = HomogeneousFunction(harmonic_basis(2)[3].poly
                             + 2 * harmonic_basis(2)[5].poly, -4)
     poly = HomogeneousFunction(Poly4.monomial((1, 1, 0, 0)))
-    for fn in (f, g, poly, f.compose_linear(2.0 * np.eye(4))):
+    for fn in (f, g, poly):
         with pytest.raises(ValueError, match="origin"):
             fn(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
     # |x|^2 underflows to zero at this point, which is refused like the origin

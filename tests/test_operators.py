@@ -13,9 +13,10 @@ from splitxray.operators import (box_diag, chart_to_diag, coupled_box,
 from splitxray.penrose import (contour_chart_field, contour_transform,
                                elementary_state)
 from splitxray.poly import Poly4
-from splitxray.xray import (QuadratureSpec, equivariance_residual,
-                            moment_chart_field, random_sl4, xray_chart_field,
-                            xray_moments, xray_transform)
+from splitxray.xray import (QuadratureSpec, circle_integral, circle_points,
+                            equivariance_residual, moment_chart_field,
+                            random_sl4, xray_chart_field, xray_moments,
+                            xray_transform)
 
 H = 1e-3
 
@@ -173,12 +174,12 @@ def test_coupled_box_gauge_covariance():
     moved_conn = gauge_transform(conn, g)
     psi = lambda x: np.array([np.exp(0.3 * x[0]) * np.sin(x[2]) + 0.2 * x[1]],
                              dtype=complex)
-    gpsi = lambda x: g.at(x) @ psi(x)
+    gpsi = lambda x: g.value(x) @ psi(x)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = 0.8 * rng.normal(size=4)
         lhs = coupled_box(moved_conn, gpsi, x, H)
-        rhs = g.at(x) @ coupled_box(conn, psi, x, H)
+        rhs = g.value(x) @ coupled_box(conn, psi, x, H)
         assert np.linalg.norm(lhs - rhs) < 1e-6
 
 
@@ -335,8 +336,8 @@ def test_batched_equivariance_equals_per_frame_loop():
     for h in harmonic_basis(2)[:4]:
         f = basis_to_degree_minus_2(h)
         g = random_sl4(rng)
-        fg = f.compose_linear(g)
-        expected = max(abs(xray_transform(fg, frame, q)
+        # R(f o g) on one frame: f at its circle points moved by g
+        expected = max(abs(circle_integral(f(circle_points(frame, q) @ g.T), q)
                            - xray_transform(f, frame.ambient_transform(g), q))
                        for frame in frames)
         assert equivariance_residual(f, g, frames, q) == expected
