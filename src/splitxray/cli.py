@@ -292,9 +292,12 @@ def _suite_verify_coupled_box(cfg):
 
 def _parse_covector(entries, key):
     try:
-        return np.array([complex(str(e).replace(" ", "")) for e in entries])
+        covector = np.array([complex(str(e).replace(" ", "")) for e in entries])
     except ValueError as e:
         raise ConfigError(f"{key}: cannot parse covector component: {e}") from e
+    if not np.all(np.isfinite(covector)):
+        raise ConfigError(f"{key}: covector components must be finite")
+    return covector
 
 
 def _strip_floor(cfg, check):

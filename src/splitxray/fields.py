@@ -8,6 +8,10 @@ of one radial power is one polynomial.  Harmonic polynomial bases are built in c
 rational coefficients, so basis elements have an identically zero
 Laplacian coefficient table before any floats appear; a harmonic
 polynomial is evaluated through its `poly`.
+
+On a frozen point array (see poly.point_memo) the radial factors
+(x.x)**(power//2) are kept by power next to the polynomials' monomial
+tables, so the basis functions of a design matrix share one frame's.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import Frame
-from .poly import Poly4, exponents_of_degree, frozen
+from .poly import Poly4, exponents_of_degree, point_memo
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +58,7 @@ class HomogeneousFunction:
 
     def __call__(self, x):
         x = _real_points(x)
-        return self.poly(x) * _refuse_origin(x) ** (self.power // 2)
-
-
-def _refuse_origin(x):
-    """|x|^2 of points x; raise if any of it is zero."""
-    r2, origin = _squared_norms(x)
-    if origin:
-        raise ValueError("homogeneous functions are undefined at the origin")
-    return r2
+        return self.poly(x) * _radial_factor(x, self.power)
 
 
 def _real_points(x):
@@ -75,25 +71,25 @@ def _real_points(x):
     return np.asarray(x, dtype=float)
 
 
-# (points, |x|^2, whether some |x|^2 is zero) of the last frozen point array
-# whose norms were taken; replaced as one tuple.
-_norms = (None, None, False)
+def _radial_factor(x, power):
+    """(x.x) ** (power // 2) of points x; raise if any x.x is zero.
 
-
-def _squared_norms(x):
-    """|x|^2 of points x and whether any of it is zero.  A frozen x (see
-    poly.frozen) reuses both from the last call on it, so the radial factors
-    of a design matrix's basis functions share one frame's |x|^2."""
-    global _norms
-    last, r2, origin = _norms
-    if last is x and frozen(x):
-        return r2, origin
+    A frozen x (see poly.point_memo) keeps the factor of each power, stored
+    only once the origin was refused, so the basis functions of a design
+    matrix share one frame's radial factors and every call still refuses
+    the origin."""
+    memo = point_memo(x)
+    if memo is not None:
+        factor = memo.get(("radial", power))
+        if factor is not None:
+            return factor
     r2 = np.einsum("...i,...i->...", x, x)
-    origin = bool(np.any(r2 == 0.0))
-    if frozen(x):
-        r2.setflags(write=False)
-        _norms = (x, r2, origin)
-    return r2, origin
+    if np.any(r2 == 0.0):
+        raise ValueError("homogeneous functions are undefined at the origin")
+    factor = r2 ** (power // 2)
+    if memo is not None:
+        memo["radial", power] = factor
+    return factor
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ repeated multiplication, then forms each monomial from four table lookups;
 no pow is called.  Against a correctly rounded sum the error is a few ulp
 per term times the term's size.
 
-The power table of the last frozen point array (see `frozen`) is kept and
-shared by every Poly4, so the basis functions of a design matrix, evaluated
-in turn on one frame's circle points, build it once per frame; a higher
-degree rebuilds it to the new top.  Table rows do not depend on the top, so
-values are the same bits as from a fresh table.
+One memo, `point_memo`, holds per-point work for the last frozen point
+array (see `frozen`), shared by every caller: here, for each degree k, the
+table of all monomials of degree k.  A homogeneous Poly4 evaluated on that
+array gathers its terms' rows from the table and takes one dot with its
+coefficients, so the basis functions of a design matrix, evaluated in turn
+on one frame's circle points, build each degree's monomials once per frame.
+A table row is the same four-factor product that the memo-free path forms
+for the term, so values are the same bits.
 """
 
 from __future__ import annotations
@@ -64,9 +67,53 @@ def _power_table(x, top):
     return table.reshape(-1, n)
 
 
-# (points, table) of the last frozen point array Poly4 evaluated; replaced
-# as one tuple.
-_powers = (None, None)
+@lru_cache(maxsize=None)
+def _degree_rows(k):
+    """(factors, place): factors[i, j] is the power-table row of the i-th
+    factor of the j-th monomial of degree k in exponents_of_degree order,
+    and place maps each exponent tuple to j.  Every caller shares them."""
+    expos = exponents_of_degree(k)
+    factors = (np.array(expos).reshape(-1, 4) * 4 + np.arange(4)).T.copy()
+    factors.setflags(write=False)
+    return factors, {e: j for j, e in enumerate(expos)}
+
+
+def _degree_table(x, k):
+    """Row j holds the j-th monomial of degree k at points x: the product
+    x1^e1 * x2^e2 * x3^e3 * x4^e4 of power-table rows, taken in that
+    order, as the memo-free path takes it for a term."""
+    factors = _degree_rows(k)[0]
+    return np.multiply.reduce(_power_table(x, k).take(factors, axis=0), axis=0)
+
+
+# (points, entries) of the last frozen point array given to point_memo; a
+# new array replaces it as one tuple.
+_memo = (None, None)
+
+
+def point_memo(x):
+    """The memo entries of point array x, a dict, or None when x is not
+    frozen.
+
+    The dict belongs to the last frozen array asked for; another frozen
+    array replaces it whole, so the memo holds one array's work at a time.
+    Keys are tuples whose first item names the work: ("monomials", k) for
+    the degree-k monomial table here and ("radial", power) for the radial
+    factors of fields.HomogeneousFunction.
+
+    `frozen` is checked at every lookup, so a writable array is never
+    reused.  It cannot see an array that was made writable, changed and
+    made read-only again between two lookups: that array keeps the entries
+    of its old values.  No code does this to the points it evaluates on.
+    """
+    global _memo
+    if not frozen(x):
+        return None
+    last, entries = _memo
+    if last is not x:
+        entries = {}
+        _memo = (x, entries)
+    return entries
 
 
 class Poly4:
@@ -112,9 +159,11 @@ class Poly4:
         return len(degs) <= 1
 
     def _arrays(self):
-        """(rows, top, C).  Row p * 4 + i of the power table holds x_i^p
-        for p <= top; rows[j] picks the four factors of term j, whose
-        coefficient is C[j]."""
+        """(rows, top, C, k, idx).  Row p * 4 + i of the power table holds
+        x_i^p for p <= top; rows[j] picks the four factors of term j, whose
+        coefficient is C[j].  For a homogeneous polynomial k is its degree
+        and idx[j] the place of term j in exponents_of_degree(k); k is None
+        otherwise."""
         if self._cache is None:
             if not self.coeffs:
                 E = np.zeros((1, 4), dtype=int)
@@ -126,27 +175,34 @@ class Poly4:
                     C = np.array([complex(v) for v in vals])
                 else:
                     C = np.array([float(v) for v in vals])
-            self._cache = (E * 4 + np.arange(4), int(E.max()), C)
+            k = idx = None
+            if self.is_homogeneous():
+                k = int(E[0].sum())
+                place = _degree_rows(k)[1]
+                idx = np.array([place[tuple(e)] for e in E.tolist()])
+            self._cache = (E * 4 + np.arange(4), int(E.max()), C, k, idx)
         return self._cache
 
     def __call__(self, x):
         """Evaluate at x of shape (..., 4); vectorized.
 
         The powers have the dtype x ** E would give: int, float or
-        complex for int, float or complex x.  A frozen x reuses the power
-        table of the last call on it.
+        complex for int, float or complex x.  A homogeneous Poly4 on a
+        frozen x gathers its monomials from the degree table of
+        point_memo(x), building it on the first call of its degree.
         """
-        global _powers
         x = np.asarray(x)
         if x.shape[-1:] != (4,):
             raise ValueError("points must have a trailing axis of length 4")
-        rows, top, C = self._arrays()
-        last, table = _powers
-        if last is not x or not frozen(x) or len(table) <= top * 4:
-            table = _power_table(x, top)
-            if frozen(x):
-                _powers = (x, table)
-        mono = np.multiply.reduce(table[rows], axis=1)
+        rows, top, C, k, idx = self._arrays()
+        memo = None if k is None else point_memo(x)
+        if memo is None:
+            mono = np.multiply.reduce(_power_table(x, top)[rows], axis=1)
+        else:
+            table = memo.get(("monomials", k))
+            if table is None:
+                table = memo["monomials", k] = _degree_table(x, k)
+            mono = table.take(idx, axis=0)
         return C.dot(mono).reshape(x.shape[:-1])[()]
 
     def partial(self, i):

@@ -14,8 +14,8 @@ one sum.  xray_transform keeps the read-only circle points of the last
 (frame, spec) it integrated, so a design matrix, which integrates every
 basis function over one frame before the next, builds each frame's circle
 once.  Being read-only, those
-points also let Poly4 and the radial factors reuse their power table and
-|x|^2 across the basis functions (see poly.frozen).
+points also key poly.point_memo, so the basis functions share each
+degree's monomial table and each radial factor of the frame.
 
 As a function of the frame the transform is a weight -1 field
 (|det g|**-1 under right GL(2) moves), and its chart restriction is

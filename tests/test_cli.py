@@ -330,6 +330,9 @@ REFUSED_EDGES = [
     # every residual reads exactly 0.0
     ("--fd-step", "1e-20", ["verify-john", "verify-moments",
                             "verify-coupled-box", "penrose-elementary"]),
+    *((flag, value, ["penrose-elementary"])
+      for flag in ("--state-a", "--state-b")
+      for value in ("nan,0,1,0", "inf,0,1,0")),
 ]
 # Accepted edges, on cheap suites that read the key, with their exit code.
 ACCEPTED_EDGES = [
@@ -363,3 +366,65 @@ def test_edge_values_exit_0_1_or_2_and_never_raise(capsys):
             assert exit_code([suite, flag, value]) == 2, (suite, flag)
     for suite, flag, value, expected in ACCEPTED_EDGES:
         assert exit_code([suite, flag, value]) == expected, (suite, flag)
+
+
+@pytest.mark.parametrize("key", ["state_a", "state_b"])
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "nanj"])
+def test_non_finite_covector_names_its_key(capsys, key, component):
+    flag = "--" + key.replace("_", "-")
+    assert main(["penrose-elementary", f"{flag}={component},0,1,0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {key}: covector components must be finite\n")
+
+
+# Values above these build large design matrices; the boundary values of
+# the schema stay far below them.
+LARGE = {"max_degree": 4, "n_frames": 200}
+
+
+def schema_boundary_values():
+    """(key, value, inside) for every bound of CONFIG_SCHEMA: each minimum
+    and maximum with its neighbour outside, the neighbours of the first
+    multiple of a multipleOf above the minimum, and one non-member of each
+    enum.  `inside` says whether the schema accepts the value."""
+    cases = []
+    for key, spec in CONFIG_SCHEMA["properties"].items():
+        integer = spec.get("type") == "integer"
+
+        def beyond(value, direction):
+            return (value + direction if integer
+                    else math.nextafter(value, direction * math.inf))
+
+        for bound, direction in (("minimum", -1), ("maximum", 1)):
+            if bound in spec:
+                cases += [(key, spec[bound], True),
+                          (key, beyond(spec[bound], direction), False)]
+        if "multipleOf" in spec:
+            step = spec["multipleOf"]
+            multiple = spec.get("minimum", 0) // step * step + step
+            cases += [(key, multiple, True), (key, multiple - 1, False),
+                      (key, multiple + 1, False)]
+        if "enum" in spec:
+            cases.append((key, "not " + str(spec["enum"][0]), False))
+    return [(key, value, inside) for key, value, inside in cases
+            if key not in LARGE or value <= LARGE[key]]
+
+
+def test_schema_boundary_values_exit_0_1_or_2(tmp_path, capsys):
+    cases = schema_boundary_values()
+    assert {key for key, _, _ in cases} == {
+        "nodes", "fd_step", "seed", "max_degree", "n_frames", "format"}
+    path = tmp_path / "config.json"
+    for key, value, inside in cases:
+        # the cheapest suite that reads the key; every suite reads format
+        command = SECOND_VALUES.get(key, ("verify-selfdual",))[0]
+        path.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (key, value)
+        if inside:
+            assert "invalid configuration" not in err, (key, value)
+        else:
+            assert code == 2 and out == "", (key, value)
+            assert err.startswith(f"error: invalid configuration: {key}: "), \
+                (key, value)

@@ -1,18 +1,23 @@
-"""The one-entry memos of the per-call circle path: xray_transform's circle
-points, Poly4's power table and the radial factors' |x|^2.
+"""The memos of the per-call circle path: xray_transform's circle points
+and poly.point_memo, which holds each degree's monomial table and the
+radial factors of the last frozen point array.
 
 Writable arrays bypass every memo, so a loop over writable copies of the
 circle points is the memo-free reference.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitxray import fields, poly, xray
 from splitxray.fields import HomogeneousFunction, harmonic_basis
 from splitxray.geometry import Frame
 from splitxray.inversion import design_matrix, sample_frames, transform_basis
-from splitxray.poly import Poly4, frozen
+from splitxray.poly import Poly4, exponents_of_degree, frozen
 from splitxray.xray import (QuadratureSpec, circle_integral, circle_points,
                             xray_transform)
 
@@ -87,8 +92,8 @@ def test_writable_arrays_are_never_memoized():
     x = np.array(circle_points(frame, Q16))
     g(x)
     h.poly(x)
-    assert poly._powers[0] is not x
-    assert fields._norms[0] is not x
+    assert poly.point_memo(x) is None
+    assert poly._memo[0] is not x
     # a frame whose vectors were swapped for writable arrays: its circle is
     # not kept, and a change of u shows in the next transform
     a, b = sample_frames(2, 4)
@@ -108,8 +113,10 @@ def test_an_array_made_writable_again_is_not_reused():
     x = np.array(circle_points(a, Q16))
     x.setflags(write=False)
     g(x)
-    assert poly._powers[0] is x and fields._norms[0] is x
+    last, entries = poly._memo
+    assert last is x and set(entries) == {("monomials", 2), ("radial", -4)}
     x.setflags(write=True)
+    assert poly.point_memo(x) is None
     x[...] = circle_points(b, Q16)
     assert np.array_equal(g(x), g(np.array(circle_points(b, Q16))))
     # the same for a frame vector
@@ -130,7 +137,9 @@ def test_points_at_the_origin_are_refused_on_a_memo_hit():
     for f in (radial, plain, radial):
         with pytest.raises(ValueError, match="origin"):
             f(x)
-        assert fields._norms[0] is x
+        # the polynomial's table is kept, a refused radial factor is not
+        last, entries = poly._memo
+        assert last is x and not [key for key in entries if key[0] == "radial"]
 
 
 def test_each_memo_holds_one_entry_after_a_400_frame_matrix():
@@ -140,10 +149,11 @@ def test_each_memo_holds_one_entry_after_a_400_frame_matrix():
     u, v, q, points = xray._circle
     assert (u, v, q) == (frames[-1].u, frames[-1].v, Q16)
     assert not points.flags.writeable and points.shape == (16, 4)
-    last, table = poly._powers
-    assert last is points and table.shape == (3 * 4, 16)
-    last, r2, origin = fields._norms
-    assert last is points and r2.shape == (16,) and origin is False
+    last, entries = poly._memo
+    assert last is points
+    assert {key: value.shape for key, value in entries.items()} == {
+        ("monomials", 0): (1, 16), ("monomials", 2): (10, 16),
+        ("radial", -2): (16,), ("radial", -4): (16,)}
 
 
 def test_poly_table_grows_with_degree_on_one_point_array():
@@ -154,4 +164,67 @@ def test_poly_table_grows_with_degree_on_one_point_array():
     ref = np.array(x)
     for p in (low, high, low, high):
         assert np.array_equal(p(x), p(ref))
-    assert poly._powers[0] is x and len(poly._powers[1]) == 6 * 4
+    last, entries = poly._memo
+    assert last is x
+    assert {key: value.shape for key, value in entries.items()} == {
+        ("monomials", 2): (10, 16), ("monomials", 5): (56, 16)}
+
+
+def test_one_power_table_per_frame_and_degree(monkeypatch):
+    # a work count, not a timing: the design matrix builds each degree's
+    # monomials once per frame, never once per basis function
+    built = []
+    power_table = poly._power_table
+
+    def spy(x, top):
+        built.append(top)
+        return power_table(x, top)
+
+    monkeypatch.setattr(poly, "_power_table", spy)
+    frames = sample_frames(7, 12)
+    design_matrix(transform_basis(4), frames, Q16)
+    assert built == [0, 2, 4] * len(frames)
+
+
+COEFFICIENTS = {
+    "float": st.floats(-5, 5).filter(lambda c: abs(c) > 1e-3),
+    "fraction": st.fractions(-5, 5, max_denominator=9).filter(bool),
+    "complex": st.complex_numbers(max_magnitude=5, min_magnitude=1e-3,
+                                  allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def memo_inputs(draw):
+    """A homogeneous Poly4 of degree 0 to 8 with float, Fraction or complex
+    coefficients, or a HomogeneousFunction of such a polynomial and an even
+    radial power, 0 and -2 among them."""
+    k = draw(st.integers(0, 8))
+    monos = draw(st.lists(st.sampled_from(exponents_of_degree(k)),
+                          min_size=1, max_size=6, unique=True))
+    kind = draw(st.sampled_from(sorted(COEFFICIENTS)))
+    coeffs = draw(st.lists(COEFFICIENTS[kind], min_size=len(monos),
+                           max_size=len(monos)))
+    p = Poly4(dict(zip(monos, coeffs)))
+    power = draw(st.none() | st.sampled_from([0, -2, -4, 2, -10]))
+    return p if power is None else HomogeneousFunction(p, power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(memo_inputs(), min_size=1, max_size=6),
+       st.lists(st.sampled_from([0, 1]), min_size=1, max_size=12))
+# a degree-0 table and a power-0 radial factor on one array: their keys
+# must not collide
+@example([Poly4.constant(3.0),
+          HomogeneousFunction(Poly4.monomial((2, 0, 0, 0), Fraction(1, 3)))],
+         [0])
+def test_memo_path_equals_the_memo_free_path_bitwise(inputs, order):
+    frames = sample_frames(2, 21)
+    frozen_points = [circle_points(frame, Q16) for frame in frames]
+    for x in frozen_points:
+        x.setflags(write=False)
+    for which in order:
+        x = frozen_points[which]
+        ref = np.array(x)
+        for f in inputs:
+            assert np.array_equal(f(x), f(ref))
