@@ -123,12 +123,23 @@ def _merge_config(command, file_config, flag_values):
     return cfg
 
 
+def _is_int(checker, value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @functools.cache
 def _config_validator():
     """A validator for CONFIG_SCHEMA, built on first use.  The schema itself
-    is checked against its metaschema by the tests, not on every call."""
+    is checked against its metaschema by the tests, not on every call.
+
+    JSON Schema's "integer" admits an integral float such as 3.0, which the
+    suites cannot use as a seed, degree or count; this validator admits
+    only ints, so such a value is refused like any other type error."""
     import jsonschema
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+    base = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    strict = jsonschema.validators.extend(
+        base, type_checker=base.TYPE_CHECKER.redefine("integer", _is_int))
+    return strict(CONFIG_SCHEMA)
 
 
 def _validate_config(cfg):

@@ -11,7 +11,9 @@ polynomial is evaluated through its `poly`.
 
 On a frozen point array (see poly.point_memo) the radial factors
 (x.x)**(power//2) are kept by power next to the polynomials' monomial
-tables, so the basis functions of a design matrix share one frame's.
+tables, so the basis functions of a design matrix share one frame's.  A
+float64 ndarray is evaluated as it is; any other input is converted to one
+first, and complex points are refused.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 
 from .geometry import Frame
 from .poly import Poly4, exponents_of_degree, point_memo
+
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +61,8 @@ class HomogeneousFunction:
         object.__setattr__(self, "degree", self.poly.degree + self.power)
 
     def __call__(self, x):
-        x = _real_points(x)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+            x = _real_points(x)
         return self.poly(x) * _radial_factor(x, self.power)
 
 
@@ -84,7 +89,7 @@ def _radial_factor(x, power):
         if factor is not None:
             return factor
     r2 = np.einsum("...i,...i->...", x, x)
-    if np.any(r2 == 0.0):
+    if not r2.all():
         raise ValueError("homogeneous functions are undefined at the origin")
     factor = r2 ** (power // 2)
     if memo is not None:

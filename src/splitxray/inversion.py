@@ -62,10 +62,9 @@ def design_matrix(basis, frames, q: QuadratureSpec = QuadratureSpec(),
             raise ValueError(
                 f"design matrix needs degree -2 inputs, got {f.degree} "
                 f"for {f.label!r}")
-    m = np.empty((len(frames), len(basis)))
-    for i, frame in enumerate(frames):
-        for j, f in enumerate(basis):
-            m[i, j] = xray_transform(f, frame, q)
+    m = np.array([[xray_transform(f, frame, q) for f in basis]
+                  for frame in frames], dtype=float)
+    m = m.reshape(len(frames), len(basis))
     if not np.all(np.isfinite(m)):
         raise ValueError("design matrix contains non-finite entries")
     return DesignMatrix(matrix=m, frames=list(frames),

@@ -18,7 +18,9 @@ array gathers its terms' rows from the table and takes one dot with its
 coefficients, so the basis functions of a design matrix, evaluated in turn
 on one frame's circle points, build each degree's monomials once per frame.
 A table row is the same four-factor product that the memo-free path forms
-for the term, so values are the same bits.
+for the term, so values are the same bits.  An (n, 4) float array, such as
+a frame's circle points, is evaluated as it is and its (n,) values are
+returned without a reshape.
 """
 
 from __future__ import annotations
@@ -69,21 +71,26 @@ def _power_table(x, top):
 
 @lru_cache(maxsize=None)
 def _degree_rows(k):
-    """(factors, place): factors[i, j] is the power-table row of the i-th
+    """(factors, place): factors[i][j] is the power-table row of the i-th
     factor of the j-th monomial of degree k in exponents_of_degree order,
-    and place maps each exponent tuple to j.  Every caller shares them."""
+    a tuple of four index arrays, and place maps each exponent tuple to j.
+    Every caller shares them."""
     expos = exponents_of_degree(k)
     factors = (np.array(expos).reshape(-1, 4) * 4 + np.arange(4)).T.copy()
     factors.setflags(write=False)
-    return factors, {e: j for j, e in enumerate(expos)}
+    return tuple(factors), {e: j for j, e in enumerate(expos)}
 
 
 def _degree_table(x, k):
     """Row j holds the j-th monomial of degree k at points x: the product
-    x1^e1 * x2^e2 * x3^e3 * x4^e4 of power-table rows, taken in that
-    order, as the memo-free path takes it for a term."""
+    x1^e1 * x2^e2 * x3^e3 * x4^e4 of power-table rows, multiplied in that
+    order, as the memo-free path multiplies them for a term."""
+    powers = _power_table(x, k)
     factors = _degree_rows(k)[0]
-    return np.multiply.reduce(_power_table(x, k).take(factors, axis=0), axis=0)
+    table = powers.take(factors[0], axis=0)
+    for rows in factors[1:]:
+        table *= powers.take(rows, axis=0)
+    return table
 
 
 # (points, entries) of the last frozen point array given to point_memo; a
@@ -107,7 +114,7 @@ def point_memo(x):
     of its old values.  No code does this to the points it evaluates on.
     """
     global _memo
-    if not frozen(x):
+    if x.flags.writeable or x.base is not None:  # not frozen(x)
         return None
     last, entries = _memo
     if last is not x:
@@ -159,10 +166,11 @@ class Poly4:
         return len(degs) <= 1
 
     def _arrays(self):
-        """(rows, top, C, k, idx).  Row p * 4 + i of the power table holds
+        """(rows, top, C, key, idx).  Row p * 4 + i of the power table holds
         x_i^p for p <= top; rows[j] picks the four factors of term j, whose
-        coefficient is C[j].  For a homogeneous polynomial k is its degree
-        and idx[j] the place of term j in exponents_of_degree(k); k is None
+        coefficient is C[j].  For a homogeneous polynomial of degree k, key
+        is ("monomials", k), the point_memo key of its degree table, and
+        idx[j] the place of term j in exponents_of_degree(k); key is None
         otherwise."""
         if self._cache is None:
             if not self.coeffs:
@@ -175,12 +183,13 @@ class Poly4:
                     C = np.array([complex(v) for v in vals])
                 else:
                     C = np.array([float(v) for v in vals])
-            k = idx = None
+            key = idx = None
             if self.is_homogeneous():
                 k = int(E[0].sum())
                 place = _degree_rows(k)[1]
                 idx = np.array([place[tuple(e)] for e in E.tolist()])
-            self._cache = (E * 4 + np.arange(4), int(E.max()), C, k, idx)
+                key = ("monomials", k)
+            self._cache = (E * 4 + np.arange(4), int(E.max()), C, key, idx)
         return self._cache
 
     def __call__(self, x):
@@ -189,21 +198,25 @@ class Poly4:
         The powers have the dtype x ** E would give: int, float or
         complex for int, float or complex x.  A homogeneous Poly4 on a
         frozen x gathers its monomials from the degree table of
-        point_memo(x), building it on the first call of its degree.
+        point_memo(x), building it on the first call of its degree.  An
+        (n, 4) ndarray, such as a frame's circle points, is used as it is
+        and gives the (n,) values of the dot unchanged.
         """
         x = np.asarray(x)
-        if x.shape[-1:] != (4,):
+        shape = x.shape
+        if shape[-1:] != (4,):
             raise ValueError("points must have a trailing axis of length 4")
-        rows, top, C, k, idx = self._arrays()
-        memo = None if k is None else point_memo(x)
+        rows, top, C, key, idx = self._cache or self._arrays()
+        memo = None if key is None else point_memo(x)
         if memo is None:
             mono = np.multiply.reduce(_power_table(x, top)[rows], axis=1)
         else:
-            table = memo.get(("monomials", k))
+            table = memo.get(key)
             if table is None:
-                table = memo["monomials", k] = _degree_table(x, k)
+                table = memo[key] = _degree_table(x, key[1])
             mono = table.take(idx, axis=0)
-        return C.dot(mono).reshape(x.shape[:-1])[()]
+        values = C.dot(mono)
+        return values if len(shape) == 2 else values.reshape(shape[:-1])[()]
 
     def partial(self, i):
         """d/dx_i as a new Poly4."""

@@ -7,15 +7,19 @@ nodes make the quadrature spectrally accurate for the analytic integrands
 in scope.  No 1/(2pi) normalization is applied anywhere, so the flagship
 closed form is exactly 2*pi/sqrt(det Gram).
 
-A QuadratureSpec computes the cos and sin of its nodes once, when it is
-built; a transform then costs the circle points (per coordinate, two
-scaled node rows and a sum), one evaluation of the integrand on them and
-one sum.  xray_transform keeps the read-only circle points of the last
-(frame, spec) it integrated, so a design matrix, which integrates every
-basis function over one frame before the next, builds each frame's circle
-once.  Being read-only, those
+A QuadratureSpec computes the cos and sin of its nodes and the weight
+2pi/n once, when it is built; a transform then costs the circle points
+(per coordinate, two scaled node rows and a sum), one evaluation of the
+integrand on them and one np.add.reduce times the weight.  xray_transform
+keeps the read-only circle points of the last (frame, spec) it integrated,
+so a design matrix, which integrates every basis function over one frame
+before the next, builds each frame's circle once.  Being read-only, those
 points also key poly.point_memo, so the basis functions share each
-degree's monomial table and each radial factor of the frame.
+degree's monomial table and each radial factor of the frame.  A design-
+matrix entry is then one xray_transform, one HomogeneousFunction call and
+one Poly4 call, each passing the float64 circle points on unconverted:
+a memo hit for the circle, a take and a dot for the polynomial, a memo
+hit for the radial factor, a product and the sum.
 
 As a function of the frame the transform is a weight -1 field
 (|det g|**-1 under right GL(2) moves), and its chart restriction is
@@ -24,6 +28,7 @@ annihilated by the John operator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,24 +44,29 @@ from .poly import frozen
 class QuadratureSpec:
     """Uniform periodic trapezoid rule on [0, 2pi) with n_nodes >= 4.
 
-    The node columns cos and sin are computed once, at construction, and
-    are read-only; every transform on this spec reuses them.
+    n_nodes is an int (operator.index refuses a float such as 4.5).  The
+    weight 2pi/n_nodes and the node columns cos and sin are computed once,
+    at construction, and the columns are read-only; every transform on this
+    spec reuses them.
     """
 
     n_nodes: int = DEFAULTS["nodes"]
     cos: np.ndarray = field(init=False, repr=False, compare=False)
     sin: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_nodes", operator.index(self.n_nodes))
         if self.n_nodes < 4:
             raise ValueError("quadrature needs at least 4 nodes")
+        object.__setattr__(self, "weight", 2.0 * np.pi / self.n_nodes)
         theta = self.angles()
         for name, column in (("cos", np.cos(theta)), ("sin", np.sin(theta))):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
     def angles(self):
-        return np.arange(self.n_nodes) * (2.0 * np.pi / self.n_nodes)
+        return np.arange(self.n_nodes) * self.weight
 
 
 def circle_points(frame, q: QuadratureSpec):
@@ -81,11 +91,12 @@ def circle_points(frame, q: QuadratureSpec):
 
 
 def circle_integral(values, q: QuadratureSpec):
-    """Periodic trapezoid sum of sampled values; shared by all transforms."""
+    """Periodic trapezoid sum of values sampled at the nodes along the last
+    axis, times the spec's weight 2pi/n; shared by all transforms."""
     values = np.asarray(values)
-    if values.shape[-1] != q.n_nodes:
+    if values.shape[-1:] != (q.n_nodes,):
         raise ValueError("value count does not match the quadrature spec")
-    return values.sum(axis=-1) * (2.0 * np.pi / q.n_nodes)
+    return np.add.reduce(values, -1) * q.weight
 
 
 # (u, v, spec, points) of the last frame xray_transform integrated, its
@@ -99,7 +110,10 @@ def _frame_circle(frame: Frame, q: QuadratureSpec):
     global _circle
     u, v = frame.u, frame.v
     last_u, last_v, last_q, points = _circle
-    if last_u is u and last_v is v and last_q is q and frozen(u) and frozen(v):
+    if (last_u is u and last_v is v and last_q is q
+            # frozen(u) and frozen(v)
+            and not (u.flags.writeable or v.flags.writeable)
+            and u.base is None and v.base is None):
         return points
     points = circle_points(frame, q)
     points.setflags(write=False)

@@ -1,9 +1,13 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitxray import cli, inversion, operators, penrose, xray
 from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
@@ -428,3 +432,61 @@ def test_schema_boundary_values_exit_0_1_or_2(tmp_path, capsys):
             assert code == 2 and out == "", (key, value)
             assert err.startswith(f"error: invalid configuration: {key}: "), \
                 (key, value)
+
+
+INTEGER_KEYS = [key for key, spec in CONFIG_SCHEMA["properties"].items()
+                if spec.get("type") == "integer"]
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+def test_integral_float_of_an_integer_key_exits_2(tmp_path, capsys, key):
+    # JSON Schema's "integer" admits 3.0; the suites need an int, so the
+    # float is refused where the int of the same value runs
+    value = DEFAULTS[key]
+    cli._validate_config(cli._merge_config("verify-selfdual", {key: value}, {}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: float(value)}))
+    command = SECOND_VALUES[key][0]
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: invalid configuration: {key}: {float(value)!r} "
+                   f"is not of type 'integer'\n")
+
+
+def test_integer_keys_are_the_schema_integers():
+    assert INTEGER_KEYS == ["nodes", "seed", "max_degree", "n_frames"]
+
+
+# Text of one covector component: numbers with and without a j suffix,
+# non-finite spellings and junk.
+COMPONENT_TEXT = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.complex_numbers(max_magnitude=5).map(lambda z: repr(z).strip("()")),
+    st.floats(-5, 5).map(lambda v: f"{v!r}j"),
+    st.sampled_from(["nan", "-inf", "nanj", "infj", "j", "1jj", "", " ", "1e999",
+                     "1+", "0x1", "--1", "1_0"]),
+    # an explicit alphabet: st.text() over all of Unicode first builds
+    # a character map, about 2 s
+    st.text(alphabet="0123456789.+-eEjJnaifx_ ()\t\u00e9", max_size=5),
+)
+
+
+# derandomized: a state that parses can take 0.2 s to refuse, so a fixed
+# set of examples keeps the test's time fixed
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["state_a", "state_b"]),
+       st.lists(COMPONENT_TEXT, max_size=6).map(",".join))
+@example("state_a", "1,0,1j,0")
+@example("state_b", "1j,0,1")
+@example("state_a", "nan,0,1j,0")
+def test_covector_text_exits_0_1_or_2_and_never_raises(key, text):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["penrose-elementary", f"--{key.replace('_', '-')}={text}"])
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    else:
+        assert json.loads(out.getvalue())["overall"] is (code == 0)

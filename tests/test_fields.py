@@ -59,6 +59,28 @@ def test_complex_points_are_refused():
         g(z.real + 0j)
 
 
+def test_every_input_form_gives_the_values_of_a_float_array():
+    # a float64 ndarray, and an (n, 4) one in particular, takes the fast
+    # path; every other form must give the same values and shape
+    f = basis_to_degree_minus_2(harmonic_basis(4)[5])
+    stack = np.random.default_rng(8).integers(-3, 4, size=(2, 3, 4))
+    stack[(stack == 0).all(axis=-1)] = 1  # no point at the origin
+    for call in (f, f.poly):
+        for ints in (stack, stack[0], stack[0, 0]):
+            floats = ints.astype(float)
+            want = call(floats)
+            assert np.shape(want) == ints.shape[:-1]
+            frozen = floats.copy()
+            frozen.setflags(write=False)
+            for x in (ints, floats.tolist(), ints.tolist(), frozen):
+                got = call(x)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+    for z in (stack + 0j, stack[0, 0] + 0j, (stack + 1j).tolist()):
+        with pytest.raises(TypeError, match="complex"):
+            f(z)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=4, max_size=4),
        st.sampled_from([-2, -4, 2]))

@@ -105,6 +105,12 @@ def test_weight_law_on_transform():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError, match="4 nodes"):
         QuadratureSpec(3)
+    for n_nodes in (4.5, 64.0, "64"):
+        with pytest.raises(TypeError):
+            QuadratureSpec(n_nodes)
+    q = QuadratureSpec(np.int64(64))
+    assert q == QuadratureSpec(64) and type(q.n_nodes) is int
+    assert q.weight == 2.0 * np.pi / 64
 
 
 def test_circle_points_shape_and_values():
@@ -133,6 +139,16 @@ def test_circle_integral_constant():
     assert_allclose(circle_integral(np.ones(64), q), 2 * np.pi, rtol=1e-15)
     with pytest.raises(ValueError, match="match"):
         circle_integral(np.ones(32), q)
+    with pytest.raises(ValueError, match="match"):
+        circle_integral(np.float64(1.0), q)
+
+
+def test_circle_integral_of_a_list_equals_that_of_an_array():
+    q = QuadratureSpec(16)
+    values = np.random.default_rng(3).normal(size=(3, 16))
+    for v in (values, values[0]):
+        assert np.array_equal(circle_integral(v.tolist(), q),
+                              circle_integral(v, q))
 
 
 # ---- moments ------------------------------------------------------------------
