@@ -279,6 +279,9 @@ def _suite_verify_gauge(cfg):
 
 
 def _suite_verify_coupled_box(cfg):
+    if cfg["connection"] != "flagship-u1":
+        raise ConfigError("connection: verify-coupled-box checks a hand value "
+                          f"of flagship-u1 only, not {cfg['connection']!r}")
     h = cfg["fd_step"]
     conn = instanton.connection_preset("flagship-u1")
     x0 = np.array([1.0, 0.0, 2.0, 0.0])
@@ -308,6 +311,9 @@ def _parse_covector(entries, key):
         raise ConfigError(f"{key}: cannot parse covector component: {e}") from e
     if not np.all(np.isfinite(covector)):
         raise ConfigError(f"{key}: covector components must be finite")
+    if geometry.is_real(covector):
+        raise ConfigError(f"{key}: a complex multiple of a real covector "
+                          f"vanishes on every real circle")
     return covector
 
 
@@ -344,7 +350,7 @@ def _penrose_base_frame(state, rng, ratio_floor, john_floor):
     orientation; both frames are returned."""
     for _ in range(2000):
         fr = inversion.sample_frames(1, int(rng.integers(2 ** 31)))[0]
-        if abs(np.linalg.det(fr.matrix()[:, :2])) < _BASE_CHART_DET_FLOOR:
+        if abs(np.linalg.det(fr.rows[:, :2])) < _BASE_CHART_DET_FLOOR:
             continue
         if penrose.normalized_pole_margin(state, fr) < _BASE_MARGIN_FLOOR:
             continue

@@ -7,7 +7,8 @@ real plane span(Re z, Im z).  Complex lines are plain complex 4-vectors.
 Orientation is carried purely by frame order; unordered-plane comparisons
 go through Pluecker coordinates up to scale.
 
-All objects are immutable values and all operations are pure functions.
+A Frame is one read-only (2, 4) array of rows (u, v), the form in which
+every transform takes frames; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -41,33 +42,31 @@ def check_frames(rows):
     return rows
 
 
-def _readonly(a):
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
-
-
 class Frame:
     """An ordered basis (u, v) of a real 2-plane in R^4.
 
     The order of the two vectors carries the plane orientation; right
     multiplication by an invertible 2x2 matrix moves within the plane.
+    `rows` is (u, v) as one read-only (2, 4) array; `u`, `v` are its views.
     """
 
-    __slots__ = ("u", "v")
+    __slots__ = ("rows",)
 
     def __init__(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if u.shape != (4,) or v.shape != (4,):
             raise ValueError("frame vectors must be real 4-vectors")
-        check_frames(np.vstack([u, v]))
-        self.u = _readonly(u)
-        self.v = _readonly(v)
+        self.rows = check_frames(np.stack([u, v]))
+        self.rows.setflags(write=False)
 
-    def matrix(self):
-        """Rows u, v as a 2x4 array."""
-        return np.vstack([self.u, self.v])
+    @property
+    def u(self):
+        return self.rows[0]
+
+    @property
+    def v(self):
+        return self.rows[1]
 
     def transform(self, g):
         """Right action: columns of [u v] are recombined by the 2x2 matrix g."""
@@ -90,8 +89,7 @@ class Frame:
         if plane_distance(self, other) > 1e-8:
             raise ValueError("frames span different planes")
         # solve [other.u other.v] = [u v] g in the least-squares sense
-        basis = self.matrix().T
-        g, *_ = np.linalg.lstsq(basis, other.matrix().T, rcond=None)
+        g, *_ = np.linalg.lstsq(self.rows.T, other.rows.T, rcond=None)
         return 1.0 if np.linalg.det(g) > 0 else -1.0
 
     def __repr__(self):
@@ -103,7 +101,7 @@ def plucker_embed(f: Frame):
     """The six 2x2 minors p_ij = u_i v_j - u_j v_i of the frame, as the
     array (p12, p13, p14, p23, p24, p34); they satisfy the quadric
     relation."""
-    u, v = f.u, f.v
+    u, v = f.rows
     return np.array([u[0] * v[1] - u[1] * v[0],
                      u[0] * v[2] - u[2] * v[0],
                      u[0] * v[3] - u[3] * v[0],
@@ -156,11 +154,10 @@ def chart_frame_rows(X):
 def chart_from_plane(f: Frame):
     """Inverse of plane_from_chart on its image: row-reduce so the first two
     columns become the identity and return the remaining 2x2 block."""
-    m = f.matrix()
-    lead = m[:, :2]
+    lead = f.rows[:, :2]
     if abs(np.linalg.det(lead)) <= DEGENERACY_RTOL:
         raise ValueError("plane lies outside the p12 != 0 chart")
-    return np.linalg.solve(lead, m[:, 2:])
+    return np.linalg.solve(lead, f.rows[:, 2:])
 
 
 def is_real(z, tol=PROJECTIVE_TOL):
@@ -195,7 +192,7 @@ def pi_project(z) -> Frame:
 def incidence_residual(z, plane: Frame):
     """Distance from the 4-vector z, real or complex, to the complexified
     span of the frame: zero iff the line [z] lies in the plane."""
-    q, _ = np.linalg.qr(plane.matrix().T.astype(complex))
+    q, _ = np.linalg.qr(plane.rows.T.astype(complex))
     w = np.asarray(z, dtype=complex)
     return float(np.linalg.norm(w - q @ (np.conj(q.T) @ w)))
 

@@ -175,8 +175,7 @@ def save_design_matrix(d: DesignMatrix, path):
             writer.writerow([repr(float(v)) for v in row])
     sidecar = {
         "basis_ids": d.basis_ids,
-        "frames": [[list(map(float, f.u)), list(map(float, f.v))]
-                   for f in d.frames],
+        "frames": [f.rows.tolist() for f in d.frames],
         "n_nodes": d.n_nodes,
         "seed": d.seed,
     }

@@ -1,7 +1,7 @@
 """Contour-integral transform of rational twistor functions.
 
 Inputs are products of integer powers of complex linear forms on C^4 with
-total homogeneity -2; evaluated over the same circle of real vectors as the
+total degree -2; evaluated over the same circle of real vectors as the
 X-ray engine, they produce complex weight -1 frame fields whose chart
 restrictions solve the John equation.
 
@@ -19,10 +19,10 @@ A function keeps its covectors, from construction on, also as Python
 complex numbers, with their exponents and norms.  The pole geometry of
 pole_safety, factor_orientation, normalized_pole_margin and the checks of
 contour_transform and contour_chart_field reads every factor's alpha and
-beta from one helper that uses them, computed afresh by each call; nothing
-is cached per frame.  The integrand is never evaluated from alpha cos +
-beta sin: the transform integrates f on the circle points of the X-ray
-engine, bit for bit.
+beta from one helper that takes them and the frame rows as lists, afresh
+on each call; nothing is cached per frame.  The integrand is never
+evaluated from alpha cos + beta sin: the transform integrates f on the
+circle points of the X-ray engine, bit for bit, behind its degree gate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import numpy as np
 
 from .defaults import POLE_MARGIN
 from .geometry import Frame, chart_frame_rows
-from .xray import QuadratureSpec, circle_integral, circle_points
+from .xray import (QuadratureSpec, circle_integral, circle_points,
+                   require_degree)
 
 
 class PoleProximityError(ValueError):
@@ -45,14 +46,15 @@ class PoleProximityError(ValueError):
 class TwistorRationalFunction:
     """scale * prod_k (A_k . Z)^{m_k} for complex covectors A_k.
 
-    The homogeneity is the exponent sum; the pole locus is the union of the
-    hyperplanes A_k . Z = 0 over negative exponents.  Construction also
-    keeps the covectors as tuples of Python complex numbers, and their
-    exponents and norms.
+    The degree, stored at construction, is the exponent sum; the pole
+    locus is the union of the hyperplanes A_k . Z = 0 over negative
+    exponents.  Construction also keeps the covectors as tuples of Python
+    complex numbers, and their exponents and norms.
     """
 
     factors: tuple
     scale: complex = 1.0 + 0.0j
+    degree: int = field(init=False)
     _columns: tuple = field(init=False, repr=False, compare=False)
     _exponents: tuple = field(init=False, repr=False, compare=False)
     _norms: tuple = field(init=False, repr=False, compare=False)
@@ -72,10 +74,7 @@ class TwistorRationalFunction:
                 ("_norms", tuple(math.sqrt(np.vdot(a, a).real)
                                  for a, _ in factors))):
             object.__setattr__(self, name, value)
-
-    @property
-    def homogeneity(self):
-        return sum(self._exponents)
+        object.__setattr__(self, "degree", sum(self._exponents))
 
     def __call__(self, z):
         """Evaluate at z of shape (..., 4), real or complex; vectorized.
@@ -92,7 +91,7 @@ class TwistorRationalFunction:
 
 
 def elementary_state(a, b) -> TwistorRationalFunction:
-    """1/((A.Z)(B.Z)) for non-proportional covectors; homogeneity -2."""
+    """1/((A.Z)(B.Z)) for non-proportional covectors; degree -2."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     s = np.linalg.svd(np.vstack([a, b]), compute_uv=False)
@@ -178,7 +177,7 @@ def _pole_report(f: TwistorRationalFunction, u, v, margin) -> PoleSafetyReport:
 def pole_safety(f: TwistorRationalFunction, frame: Frame,
                 margin=POLE_MARGIN) -> PoleSafetyReport:
     """Exact per-factor pole distances and strip half-widths (closed form)."""
-    return _pole_report(f, frame.u.tolist(), frame.v.tolist(), margin)
+    return _pole_report(f, *frame.rows.tolist(), margin)
 
 
 def _refuse_unsafe(report: PoleSafetyReport):
@@ -194,14 +193,12 @@ def contour_transform(f: TwistorRationalFunction, frame: Frame,
                       margin=POLE_MARGIN):
     """Circle integral of f over the frame (same nodes as the X-ray engine).
 
-    Requires homogeneity -2 and a pole-safe frame; the result is a weight
-    -1 frame field whose chart restriction has vanishing John residual.
+    Requires degree -2 and a pole-safe frame; the result is a weight -1
+    frame field whose chart restriction has vanishing John residual.
     """
-    if f.homogeneity != -2:
-        raise ValueError(
-            f"contour transform needs homogeneity -2, got {f.homogeneity}")
+    require_degree(f)
     _refuse_unsafe(pole_safety(f, frame, margin))
-    return circle_integral(f(circle_points(frame, q)), q)
+    return circle_integral(f(circle_points(frame.rows, q)), q)
 
 
 def contour_chart_field(f: TwistorRationalFunction,
@@ -212,9 +209,7 @@ def contour_chart_field(f: TwistorRationalFunction,
     values of shape (...).  Every point's circle is checked for poles, as in
     contour_transform, before f is evaluated on all of them at once.
     """
-    if f.homogeneity != -2:
-        raise ValueError(
-            f"contour transform needs homogeneity -2, got {f.homogeneity}")
+    require_degree(f)
 
     def phi(X):
         rows = chart_frame_rows(X)
@@ -247,8 +242,7 @@ def factor_orientation(f: TwistorRationalFunction, frame: Frame):
     wedge identity hold with one constant.
     """
     return tuple(1 if (alpha.conjugate() * beta).imag > 0 else -1
-                 for alpha, beta in _coefficients(f, frame.u.tolist(),
-                                                  frame.v.tolist()))
+                 for alpha, beta in _coefficients(f, *frame.rows.tolist()))
 
 
 def normalized_pole_margin(f: TwistorRationalFunction, frame: Frame):
@@ -258,7 +252,7 @@ def normalized_pole_margin(f: TwistorRationalFunction, frame: Frame):
     Values of order one mean the quadrature converges fast; values near
     zero mean poles hug the circle and many nodes would be needed.
     """
-    u, v = frame.u.tolist(), frame.v.tolist()
+    u, v = frame.rows.tolist()
     scale = max(math.hypot(*u), math.hypot(*v))
     return min(minimum / (norm * scale)
                for (minimum, _), norm in zip(_factor_geometry(f, u, v),

@@ -8,18 +8,16 @@ in scope.  No 1/(2pi) normalization is applied anywhere, so the flagship
 closed form is exactly 2*pi/sqrt(det Gram).
 
 A QuadratureSpec computes the cos and sin of its nodes and the weight
-2pi/n once, when it is built; a transform then costs the circle points
-(per coordinate, two scaled node rows and a sum), one evaluation of the
-integrand on them and one np.add.reduce times the weight.  xray_transform
-keeps the read-only circle points of the last (frame, spec) it integrated,
-so a design matrix, which integrates every basis function over one frame
-before the next, builds each frame's circle once.  Being read-only, those
-points also key poly.point_memo, so the basis functions share each
-degree's monomial table and each radial factor of the frame.  A design-
-matrix entry is then one xray_transform, one HomogeneousFunction call and
-one Poly4 call, each passing the float64 circle points on unconverted:
-a memo hit for the circle, a take and a dot for the polynomial, a memo
-hit for the radial factor, a product and the sum.
+2pi/n once, when it is built; a transform then costs the circle points,
+one evaluation of the integrand on them and one np.add.reduce times the
+weight.  Frames enter as rows, a Frame's read-only (2, 4) `rows` or a
+(..., 2, 4) stack, and one gate, require_degree, checks the degree of
+every input.  xray_transform keeps the read-only circle points of the last
+(frame.rows, spec) it integrated, so a design matrix, which integrates
+every basis function over one frame before the next, builds each frame's
+circle once.  Being read-only, those points also key poly.point_memo, so
+the basis functions share each degree's monomial table and each radial
+factor of the frame.
 
 As a function of the frame the transform is a weight -1 field
 (|det g|**-1 under right GL(2) moves), and its chart restriction is
@@ -69,24 +67,19 @@ class QuadratureSpec:
         return np.arange(self.n_nodes) * self.weight
 
 
-def circle_points(frame, q: QuadratureSpec):
+def circle_points(rows, q: QuadratureSpec):
     """Quadrature points u cos(theta_j) + v sin(theta_j).
 
-    `frame` is a Frame, giving shape (n_nodes, 4), or a (..., 2, 4) stack of
-    frame rows (u, v), giving (..., n_nodes, 4).  The points are built
+    `rows` is a (..., 2, 4) stack of frame rows (u, v), such as a Frame's
+    `rows`; the points have shape (..., n_nodes, 4).  They are built
     coordinate-major, as rows u_i cos + v_i sin of shape (..., 4, n_nodes)
     whose inner loops run over the nodes, and returned as a C-contiguous
-    (..., n_nodes, 4) copy that owns its data, so that a memo may key on it
-    once it is read-only (see poly.frozen).  They are the same elementwise
-    products and sum as np.outer(cos, u) + np.outer(sin, v), so they equal
-    that formula's bit for bit.
+    copy that owns its data, so that a memo may key on it once it is
+    read-only (see poly.frozen).  They equal np.outer(cos, u) +
+    np.outer(sin, v) bit for bit: the same elementwise products and sum.
     """
-    if isinstance(frame, Frame):
-        u, v = frame.u[:, None], frame.v[:, None]
-    else:
-        u, v = frame[..., 0, :, None], frame[..., 1, :, None]
-    points = u * q.cos
-    points += v * q.sin
+    points = rows[..., 0, :, None] * q.cos
+    points += rows[..., 1, :, None] * q.sin
     return points.swapaxes(-1, -2).copy()
 
 
@@ -99,34 +92,39 @@ def circle_integral(values, q: QuadratureSpec):
     return np.add.reduce(values, -1) * q.weight
 
 
-# (u, v, spec, points) of the last frame xray_transform integrated, its
-# vectors frozen; replaced as one tuple.
-_circle = (None, None, None, None)
+def require_degree(f, n=0):
+    """Raise unless f has degree -n-2, as every transform (n = 0) and the
+    helicity-n moments need; for a HomogeneousFunction that is parity (-1)^n
+    under x -> -x as well, since f(-x) = (-1)^degree f(x) by construction."""
+    if n < 0:
+        raise ValueError("helicity index must be nonnegative")
+    if f.degree != -n - 2:
+        raise ValueError(f"degree {-n - 2} needed, got {f.degree}")
+
+
+# (rows, spec, points) of the last frozen frame that xray_transform integrated
+_circle = (None, None, None)
 
 
 def _frame_circle(frame: Frame, q: QuadratureSpec):
-    """circle_points(frame, q), read-only, reused from the last call while
-    the frame's u and v are the same frozen arrays and q the same spec."""
+    """circle_points(frame.rows, q), read-only, reused from the last call
+    while the frame's rows are the same frozen array and q the same spec."""
     global _circle
-    u, v = frame.u, frame.v
-    last_u, last_v, last_q, points = _circle
-    if (last_u is u and last_v is v and last_q is q
-            # frozen(u) and frozen(v)
-            and not (u.flags.writeable or v.flags.writeable)
-            and u.base is None and v.base is None):
+    rows = frame.rows
+    last_rows, last_q, points = _circle
+    if last_rows is rows and last_q is q and frozen(rows):
         return points
-    points = circle_points(frame, q)
+    points = circle_points(rows, q)
     points.setflags(write=False)
-    if frozen(u) and frozen(v):
-        _circle = (u, v, q, points)
+    if frozen(rows):
+        _circle = (rows, q, points)
     return points
 
 
 def xray_transform(f: HomogeneousFunction, frame: Frame,
                    q: QuadratureSpec = QuadratureSpec()):
     """Integral of f over the circle of the frame; requires degree -2."""
-    if f.degree != -2:
-        raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
+    require_degree(f)
     return circle_integral(f(_frame_circle(frame, q)), q)
 
 
@@ -138,8 +136,7 @@ def xray_chart_field(f: HomogeneousFunction,
 
     The result solves the John equation; see operators.john_operator.
     """
-    if f.degree != -2:
-        raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
+    require_degree(f)
 
     def phi(X):
         return circle_integral(f(circle_points(chart_frame_rows(X), q)), q)
@@ -147,22 +144,11 @@ def xray_chart_field(f: HomogeneousFunction,
     return phi
 
 
-def _check_moment_input(f: HomogeneousFunction, n):
-    """Degree -n-2, which for a HomogeneousFunction is parity (-1)^n under
-    x -> -x as well: f(-x) = (-1)^degree f(x) holds by construction."""
-    if n < 0:
-        raise ValueError("helicity index must be nonnegative")
-    if f.degree != -n - 2:
-        raise ValueError(
-            f"moments at helicity index {n} need degree {-n - 2}, got {f.degree}")
-
-
-def _moments(f: HomogeneousFunction, frame, n, q: QuadratureSpec):
-    """The moment vector of an input already checked by _check_moment_input,
-    shape (..., n + 1) for a frame or a stack of frame rows (see
-    circle_points)."""
+def _moments(f: HomogeneousFunction, rows, n, q: QuadratureSpec):
+    """The moment vector of an input already checked by require_degree,
+    shape (..., n + 1) for a (..., 2, 4) stack of frame rows."""
     c, s = q.cos, q.sin
-    vals = f(circle_points(frame, q))
+    vals = f(circle_points(rows, q))
     return np.stack([circle_integral(vals * c ** (n - k) * s ** k, q)
                      for k in range(n + 1)], axis=-1)
 
@@ -176,8 +162,8 @@ def xray_moments(f: HomogeneousFunction, frame: Frame, n,
     n = 0 reduces to the plain transform.
     """
     n = int(n)
-    _check_moment_input(f, n)
-    return _moments(f, frame, n, q)
+    require_degree(f, n)
+    return _moments(f, frame.rows, n, q)
 
 
 def moment_chart_field(f: HomogeneousFunction, n,
@@ -189,7 +175,7 @@ def moment_chart_field(f: HomogeneousFunction, n,
     The input is checked once, here, not at every chart point.
     """
     n = int(n)
-    _check_moment_input(f, n)
+    require_degree(f, n)
 
     def phi(X):
         return _moments(f, chart_frame_rows(X), n, q)
@@ -207,12 +193,11 @@ def equivariance_residual(f: HomogeneousFunction, g, frames,
     rounding and sees no quadrature error (32 and 64 nodes give equal
     values).
     """
-    if f.degree != -2:
-        raise ValueError(f"X-ray transform needs degree -2, got {f.degree}")
+    require_degree(f)
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4) or np.linalg.det(g) == 0.0:
         raise ValueError("g must be an invertible 4x4 matrix")
-    rows = np.array([[frame.u, frame.v] for frame in frames]).reshape(-1, 2, 4)
+    rows = np.array([frame.rows for frame in frames]).reshape(-1, 2, 4)
     # one matrix-vector product per vector, as in Frame.ambient_transform, so
     # the moved frames equal its frames bit for bit
     moved = np.array([[g @ u, g @ v] for u, v in rows]).reshape(-1, 2, 4)

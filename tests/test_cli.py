@@ -327,7 +327,10 @@ def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
 REFUSED_EDGES = [
     ("--seed", "-1", list(cli.SUITES)),
     ("--max-degree", "3", ["verify-john", "reconstruct", "injectivity"]),
-    ("--connection", "nosuch", ["verify-selfdual", "verify-gauge"]),
+    ("--connection", "nosuch", ["verify-selfdual", "verify-gauge",
+                                "verify-coupled-box"]),
+    # the coupled box runs flagship-u1 only and refuses to report another
+    ("--connection", "su2-constant", ["verify-coupled-box"]),
     ("--fd-step", "1e300", ["verify-john", "verify-moments",
                             "verify-coupled-box", "penrose-elementary"]),
     # below about 1e-17 the stencil points round onto their centre and
@@ -336,7 +339,7 @@ REFUSED_EDGES = [
                             "verify-coupled-box", "penrose-elementary"]),
     *((flag, value, ["penrose-elementary"])
       for flag in ("--state-a", "--state-b")
-      for value in ("nan,0,1,0", "inf,0,1,0")),
+      for value in ("nan,0,1,0", "inf,0,1,0", "1,2,3,4", "1j,2j,3j,4j")),
 ]
 # Accepted edges, on cheap suites that read the key, with their exit code.
 ACCEPTED_EDGES = [
@@ -379,6 +382,19 @@ def test_non_finite_covector_names_its_key(capsys, key, component):
     assert main(["penrose-elementary", f"{flag}={component},0,1,0"]) == 2
     assert capsys.readouterr().err == (
         f"error: {key}: covector components must be finite\n")
+
+
+@pytest.mark.parametrize("key", ["state_a", "state_b"])
+def test_real_covector_is_refused_before_any_frame_is_drawn(
+        capsys, monkeypatch, key):
+    # its pole hyperplane meets every real circle, so no frame can serve
+    def no_frames(*args):
+        raise AssertionError("a frame was drawn")
+
+    monkeypatch.setattr(inversion, "sample_frames", no_frames)
+    flag = "--" + key.replace("_", "-")
+    assert main(["penrose-elementary", f"{flag}=1j,2j,3j,4j"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
 # Values above these build large design matrices; the boundary values of

@@ -267,7 +267,7 @@ def test_weight_law_identity_and_closed_form():
     # closed-form oracle: 2 pi / sqrt(det Gram)
     g = np.diag([2.0, 3.0])
     moved = frame.transform(g)
-    gram = moved.matrix() @ moved.matrix().T
+    gram = moved.rows @ moved.rows.T
     assert_allclose(phi(moved), 2 * np.pi / np.sqrt(np.linalg.det(gram)),
                     atol=1e-12)
     assert weight_transform_residual(phi, -1, frame, g) < 1e-10

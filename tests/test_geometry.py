@@ -75,7 +75,7 @@ def test_degenerate_frame_rejected():
 
 def test_plane_from_chart_values():
     f = plane_from_chart(np.zeros((2, 2)))
-    assert_allclose(f.matrix(), np.vstack([E[0], E[1]]))
+    assert_allclose(f.rows, np.vstack([E[0], E[1]]))
     f = plane_from_chart(np.eye(2))
     assert_allclose(f.u, [1, 0, 1, 0])
     assert_allclose(f.v, [0, 1, 0, 1])

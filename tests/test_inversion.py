@@ -200,8 +200,8 @@ def test_frame_sampling_is_orthonormal_and_deterministic():
     frames = sample_frames(10, 15)
     again = sample_frames(10, 15)
     for f, g in zip(frames, again):
-        assert_allclose(f.matrix(), g.matrix())
-        gram = f.matrix() @ f.matrix().T
+        assert_allclose(f.rows, g.rows)
+        gram = f.rows @ f.rows.T
         assert_allclose(gram, np.eye(2), atol=1e-12)
 
 

@@ -26,7 +26,7 @@ Q16 = QuadratureSpec(16)
 
 def memo_free_transform(f, frame, q):
     """The transform of f from a writable copy of the frame's circle."""
-    return circle_integral(f(np.array(circle_points(frame, q))), q)
+    return circle_integral(f(np.array(circle_points(frame.rows, q))), q)
 
 
 def readonly_view(base):
@@ -70,15 +70,31 @@ def test_alternating_frames_and_degrees_give_fresh_values():
     assert xray_transform(high, a, Q16) == expected["high", 0]
 
 
+def test_a_frame_is_one_frozen_array_with_read_only_row_views():
+    frame = sample_frames(1, 13)[0]
+    assert Frame.__slots__ == ("rows",)
+    assert frozen(frame.rows) and frame.rows.shape == (2, 4)
+    for vector in (frame.u, frame.v):
+        assert vector.base is frame.rows
+        with pytest.raises(ValueError):
+            vector.setflags(write=True)
+    # the rows are a copy: a change of the caller's vectors does not reach
+    # them
+    u, v = np.array(frame.u), np.array(frame.v)
+    copy = Frame(u, v)
+    u[0] += 1.0
+    assert np.array_equal(copy.rows, frame.rows)
+
+
 def test_readonly_view_follows_its_mutated_base():
     g = fields.basis_to_degree_minus_2(harmonic_basis(4)[7])
     p = harmonic_basis(4)[7].poly
     a, b = sample_frames(2, 3)
-    base = np.array(circle_points(a, Q16))
+    base = np.array(circle_points(a.rows, Q16))
     view = readonly_view(base)
     before_g, before_p = g(view), p(view)
-    base[...] = circle_points(b, Q16)
-    fresh = np.array(circle_points(b, Q16))
+    base[...] = circle_points(b.rows, Q16)
+    fresh = np.array(circle_points(b.rows, Q16))
     assert np.array_equal(g(view), g(fresh))
     assert np.array_equal(p(view), p(fresh))
     assert not np.array_equal(g(view), before_g)
@@ -89,20 +105,20 @@ def test_writable_arrays_are_never_memoized():
     h = harmonic_basis(2)[4]
     g = fields.basis_to_degree_minus_2(h)
     frame = sample_frames(1, 9)[0]
-    x = np.array(circle_points(frame, Q16))
+    x = np.array(circle_points(frame.rows, Q16))
     g(x)
     h.poly(x)
     assert poly.point_memo(x) is None
     assert poly._memo[0] is not x
-    # a frame whose vectors were swapped for writable arrays: its circle is
+    # a frame whose rows were swapped for a writable array: its circle is
     # not kept, and a change of u shows in the next transform
     a, b = sample_frames(2, 4)
     loose = Frame(a.u, a.v)
-    loose.u = np.array(a.u)
+    loose.rows = np.array(a.rows)
     first = xray_transform(g, loose, Q16)
-    assert xray._circle[0] is not loose.u
+    assert xray._circle[0] is not loose.rows
     assert first == memo_free_transform(g, a, Q16)
-    loose.u[...] = b.u
+    loose.rows[0] = b.u
     assert xray_transform(g, loose, Q16) == memo_free_transform(
         g, Frame(b.u, a.v), Q16)
 
@@ -110,21 +126,22 @@ def test_writable_arrays_are_never_memoized():
 def test_an_array_made_writable_again_is_not_reused():
     g = fields.basis_to_degree_minus_2(harmonic_basis(2)[4])
     a, b = sample_frames(2, 6)
-    x = np.array(circle_points(a, Q16))
+    x = np.array(circle_points(a.rows, Q16))
     x.setflags(write=False)
     g(x)
     last, entries = poly._memo
     assert last is x and set(entries) == {("monomials", 2), ("radial", -4)}
     x.setflags(write=True)
     assert poly.point_memo(x) is None
-    x[...] = circle_points(b, Q16)
-    assert np.array_equal(g(x), g(np.array(circle_points(b, Q16))))
-    # the same for a frame vector
+    x[...] = circle_points(b.rows, Q16)
+    assert np.array_equal(g(x), g(np.array(circle_points(b.rows, Q16))))
+    # the same for a frame's rows, the one array of a frame that can be
+    # made writable
     frame = Frame(a.u, a.v)
     xray_transform(g, frame, Q16)
-    assert xray._circle[0] is frame.u
-    frame.u.setflags(write=True)
-    frame.u[...] = b.u
+    assert xray._circle[0] is frame.rows
+    frame.rows.setflags(write=True)
+    frame.rows[0] = b.u
     assert xray_transform(g, frame, Q16) == memo_free_transform(
         g, Frame(b.u, a.v), Q16)
 
@@ -146,8 +163,8 @@ def test_each_memo_holds_one_entry_after_a_400_frame_matrix():
     basis = transform_basis(2)
     frames = sample_frames(400, 8)
     design_matrix(basis, frames, Q16)
-    u, v, q, points = xray._circle
-    assert (u, v, q) == (frames[-1].u, frames[-1].v, Q16)
+    rows, q, points = xray._circle
+    assert rows is frames[-1].rows and q is Q16
     assert not points.flags.writeable and points.shape == (16, 4)
     last, entries = poly._memo
     assert last is points
@@ -157,7 +174,7 @@ def test_each_memo_holds_one_entry_after_a_400_frame_matrix():
 
 
 def test_poly_table_grows_with_degree_on_one_point_array():
-    x = np.array(circle_points(sample_frames(1, 2)[0], Q16))
+    x = np.array(circle_points(sample_frames(1, 2)[0].rows, Q16))
     x.setflags(write=False)
     low = Poly4.monomial((1, 0, 0, 1), 2.0)
     high = Poly4({(5, 0, 0, 0): 1.0, (0, 2, 3, 0): -0.5})
@@ -220,7 +237,7 @@ def memo_inputs(draw):
          [0])
 def test_memo_path_equals_the_memo_free_path_bitwise(inputs, order):
     frames = sample_frames(2, 21)
-    frozen_points = [circle_points(frame, Q16) for frame in frames]
+    frozen_points = [circle_points(frame.rows, Q16) for frame in frames]
     for x in frozen_points:
         x.setflags(write=False)
     for which in order:

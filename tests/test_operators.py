@@ -337,7 +337,7 @@ def test_batched_equivariance_equals_per_frame_loop():
         f = basis_to_degree_minus_2(h)
         g = random_sl4(rng)
         # R(f o g) on one frame: f at its circle points moved by g
-        expected = max(abs(circle_integral(f(circle_points(frame, q) @ g.T), q)
+        expected = max(abs(circle_integral(f(circle_points(frame.rows, q) @ g.T), q)
                            - xray_transform(f, frame.ambient_transform(g), q))
                        for frame in frames)
         assert equivariance_residual(f, g, frames, q) == expected

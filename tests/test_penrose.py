@@ -25,7 +25,7 @@ SAFE_FRAME = Frame(E[0], E[1] + E[2])
 
 def test_elementary_state_construction():
     state = elementary_state(A, B)
-    assert state.homogeneity == -2
+    assert state.degree == -2
     rng = np.random.default_rng(0)
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
     assert_allclose(state(2.0 * z) / state(z), 0.25, rtol=1e-12)
@@ -161,7 +161,7 @@ def test_a_real_numerator_factor_is_not_a_pole():
             == normalized_pole_margin(poles, FLAGSHIP_FRAME) > 0.1)
     q = QuadratureSpec(64)
     value = contour_transform(f, FLAGSHIP_FRAME, q)
-    assert value == circle_integral(f(circle_points(FLAGSHIP_FRAME, q)), q)
+    assert value == circle_integral(f(circle_points(FLAGSHIP_FRAME.rows, q)), q)
     # residue calculus with z = e^(i theta) gives -2 pi (1 + i) / 3
     assert_allclose(value, -2 * np.pi * (1 + 1j) / 3, rtol=1e-14)
 
@@ -271,7 +271,7 @@ def test_rational_function_with_mixed_exponents_and_scale():
     b = np.array([1.0, -0.5 + 0.9j, 0.25j, -0.8])
     scale = 2.5 - 0.75j
     f = TwistorRationalFunction(((a, -3), (b, 1)), scale)
-    assert f.homogeneity == -2
+    assert f.degree == -2
     rng = np.random.default_rng(8)
     real = rng.normal(size=(3, 5, 4))
     points = (real, real + 1j * rng.normal(size=(3, 5, 4)))
@@ -347,7 +347,7 @@ def test_real_integrand_matches_xray_engine_bitwise():
     assert xray_transform(real_eval, frame, q) == value.real
     assert abs(value.imag) < 1e-14 * abs(value.real)
     # both transforms ride the same quadrature engine on the same nodes
-    assert value == circle_integral(state(circle_points(frame, q)), q)
+    assert value == circle_integral(state(circle_points(frame.rows, q)), q)
 
 
 def test_component_structure_of_the_ratio_constant():
@@ -378,7 +378,7 @@ def test_normalized_pole_margin_scale_invariance():
 
 def test_homogeneity_gate():
     lone = TwistorRationalFunction(((A, -1),))
-    with pytest.raises(ValueError, match="homogeneity -2"):
+    with pytest.raises(ValueError, match="degree -2"):
         contour_transform(lone, SAFE_FRAME)
 
 
@@ -411,5 +411,5 @@ def test_contour_stencil_with_one_refused_point_raises():
 
 
 def test_contour_chart_field_checks_homogeneity_when_built():
-    with pytest.raises(ValueError, match="homogeneity -2"):
+    with pytest.raises(ValueError, match="degree -2"):
         contour_chart_field(TwistorRationalFunction(((A, -3),)))

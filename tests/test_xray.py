@@ -21,7 +21,7 @@ X3 = HomogeneousFunction(Poly4.monomial((0, 0, 1, 0)), -4)
 
 def gram_closed_form(frame):
     """Oracle: the transform of |x|^-2 is 2 pi / sqrt(det Gram(u, v))."""
-    m = frame.matrix()
+    m = frame.rows
     return 2 * np.pi / np.sqrt(np.linalg.det(m @ m.T))
 
 
@@ -115,7 +115,7 @@ def test_quadrature_spec_validation():
 
 def test_circle_points_shape_and_values():
     q = QuadratureSpec(4)
-    pts = circle_points(Frame(E[0], E[1]), q)
+    pts = circle_points(Frame(E[0], E[1]).rows, q)
     assert pts.shape == (4, 4)
     assert_allclose(pts[0], E[0], atol=1e-15)
     assert_allclose(pts[1], E[1], atol=1e-15)
@@ -131,7 +131,7 @@ def test_node_columns_are_built_once_and_keep_the_points():
     for frame in sample_frames(5, 3):
         outer = (np.outer(np.cos(theta), frame.u)
                  + np.outer(np.sin(theta), frame.v))
-        assert np.array_equal(circle_points(frame, q), outer)
+        assert np.array_equal(circle_points(frame.rows, q), outer)
 
 
 def test_circle_integral_constant():
@@ -257,7 +257,8 @@ def test_circle_points_broadcast_over_stacks_of_frame_rows():
     pts = circle_points(rows, q)
     assert pts.shape == (2, 3, 32, 4)
     for i, frame in enumerate(frames):
-        assert np.array_equal(pts.reshape(6, 32, 4)[i], circle_points(frame, q))
+        assert np.array_equal(pts.reshape(6, 32, 4)[i],
+                              circle_points(frame.rows, q))
 
 
 def test_circle_points_are_c_contiguous_and_own_their_data():
@@ -265,7 +266,7 @@ def test_circle_points_are_c_contiguous_and_own_their_data():
     q = QuadratureSpec(32)
     frames = sample_frames(3, 5)
     rows = np.array([[f.u, f.v] for f in frames])
-    for pts in (circle_points(frames[0], q), circle_points(rows, q),
+    for pts in (circle_points(frames[0].rows, q), circle_points(rows, q),
                 circle_points(rows[:, :, ::-1], q)):
         assert pts.flags.c_contiguous and pts.flags.owndata
         assert pts.base is None
