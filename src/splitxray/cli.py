@@ -43,14 +43,6 @@ CONFIG_SCHEMA = {
     "properties": {
         "command": {"type": "string"},
         "nodes": {"type": "integer", "minimum": 4},
-        # a stencil is a local probe: at most 0.1, below the 0.35 scale of
-        # the chart points the suites draw.  From about 1e3 the 1/h^2 of the
-        # John stencil lets its check pass vacuously, and from 1e10 the
-        # moment and contour stencils raise.  At least 1e-6: there the John
-        # stencil's rounding floor eps |phi| / h^2 is already about 1e-3, far
-        # above the John tolerance, and below about 1e-17 the stencil points
-        # round onto their centre, so that every check reads exactly 0.
-        "fd_step": {"type": "number", "minimum": 1e-6, "maximum": 0.1},
         "seed": {"type": "integer", "minimum": 0},
         "max_degree": {"type": "integer", "minimum": 0, "multipleOf": 2},
         "n_frames": {"type": "integer", "minimum": 1},
@@ -183,7 +175,7 @@ def _suite_verify_john(cfg):
         residuals = []
         for h in fields.harmonic_basis(k):
             phi = xray.xray_chart_field(fields.basis_to_degree_minus_2(h), q)
-            residuals += [abs(operators.john_operator(phi, X, cfg["fd_step"]))
+            residuals += [abs(operators.john_operator(phi, X))
                           for X in _chart_points(rng, 10)]
         checks.append(_record(f"john:deg{k}", worst_residual(residuals)))
     return checks
@@ -234,7 +226,7 @@ def _suite_verify_moments(cfg):
         for h in fields.harmonic_basis(n):
             f = fields.HomogeneousFunction(h.poly, -2 * n - 2)
             m = xray.moment_chart_field(f, n, q)
-            residuals += [operators.dn_residual(m, X, cfg["fd_step"])
+            residuals += [operators.dn_residual(m, X)
                           for X in _chart_points(rng, 5)]
         checks.append(_record(f"moments:n{n}", worst_residual(residuals)))
     return checks
@@ -282,11 +274,10 @@ def _suite_verify_coupled_box(cfg):
     if cfg["connection"] != "flagship-u1":
         raise ConfigError("connection: verify-coupled-box checks a hand value "
                           f"of flagship-u1 only, not {cfg['connection']!r}")
-    h = cfg["fd_step"]
     conn = instanton.connection_preset("flagship-u1")
     x0 = np.array([1.0, 0.0, 2.0, 0.0])
     one = lambda x: np.array([1.0 + 0.0j])
-    value = operators.coupled_box(conn, one, x0, h)[0]
+    value = operators.coupled_box(conn, one, x0)[0]
     checks = [_record("coupled_box:hand-value",
                       abs(value - (-x0[0] ** 2 + x0[2] ** 2)))]
 
@@ -297,8 +288,8 @@ def _suite_verify_coupled_box(cfg):
     gpsi = lambda x: g.value(x) @ psi(x)
     rng = np.random.default_rng(cfg["seed"])
     worst = worst_residual(
-        np.linalg.norm(operators.coupled_box(moved, gpsi, x, h)
-                       - g.value(x) @ operators.coupled_box(conn, psi, x, h))
+        np.linalg.norm(operators.coupled_box(moved, gpsi, x)
+                       - g.value(x) @ operators.coupled_box(conn, psi, x))
         for x in _instanton_points(rng, 3))
     checks.append(_record("gauge_covariance", worst))
     return checks
@@ -427,7 +418,7 @@ def _suite_penrose_elementary(cfg):
             continue
         if penrose.factor_orientation(state, fr) != chart_signature:
             continue
-        residuals.append(abs(operators.john_operator(phi, X, cfg["fd_step"])))
+        residuals.append(abs(operators.john_operator(phi, X)))
         tried += 1
     if tried == 0:
         raise ConfigError("no pole-safe chart neighborhood for the John check")

@@ -11,8 +11,6 @@ by the check name before its ":".
 key               default      meaning
 ================  ===========  ==========================================
 nodes             128          quadrature nodes of every circle integral
-fd_step           1e-3         stencil step h; stencils also take h/2 and
-                               Richardson-extrapolate
 seed              2025         RNG seed for all sampled data
 max_degree        4            top even basis degree
 n_frames          120          frames for injectivity/reconstruction
@@ -22,11 +20,13 @@ state_b           1j,0,1,0     penrose-elementary
 save_design       None         path prefix for the design-matrix CSV + JSON
 ================  ===========  ==========================================
 
-POLE_MARGIN is the library's default minimum distance of a pole from the
-integration circle (the `margin` of the penrose functions).  It is not a
-configuration key: the suites also refuse every frame whose analyticity
-strip is narrower than their node count needs, and that rule, not the
-margin, decides which frames they integrate.
+FD_STEP and POLE_MARGIN are library constants, not configuration keys.
+FD_STEP is the step h of every finite-difference stencil (the stencils
+also take h/2 and Richardson-extrapolate).  POLE_MARGIN is the default
+minimum distance of a pole from the integration circle (the `margin` of
+the penrose functions): the suites also refuse every frame whose
+analyticity strip is narrower than their node count needs, and that rule,
+not the margin, decides which frames they integrate.
 """
 
 TOLERANCES = {
@@ -47,11 +47,14 @@ TOLERANCES = {
     "geometry_roundtrip": 1e-12,
 }
 
+# The tolerances of the finite-difference checks (john, moments,
+# gauge_covariance, penrose_john) were pinned at this step.
+FD_STEP = 1e-3
+
 POLE_MARGIN = 1e-3
 
 DEFAULTS = {
     "nodes": 128,
-    "fd_step": 1e-3,
     "seed": 2025,
     "max_degree": 4,
     "n_frames": 120,

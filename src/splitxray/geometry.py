@@ -48,6 +48,7 @@ class Frame:
     The order of the two vectors carries the plane orientation; right
     multiplication by an invertible 2x2 matrix moves within the plane.
     `rows` is (u, v) as one read-only (2, 4) array; `u`, `v` are its views.
+    It is set once, by __init__, so every frame passed check_frames.
     """
 
     __slots__ = ("rows",)
@@ -57,8 +58,12 @@ class Frame:
         v = np.asarray(v, dtype=float)
         if u.shape != (4,) or v.shape != (4,):
             raise ValueError("frame vectors must be real 4-vectors")
-        self.rows = check_frames(np.stack([u, v]))
-        self.rows.setflags(write=False)
+        rows = check_frames(np.stack([u, v]))
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Frame.{name} cannot be set after construction")
 
     @property
     def u(self):

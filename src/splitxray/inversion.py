@@ -126,19 +126,14 @@ def sample_frames(n_frames, seed):
     return frames
 
 
-def _labeled_basis(max_degree):
+def transform_basis(max_degree):
+    """The degree -2 inputs H |x|^(-k-2) over even k <= max_degree, labeled
+    deg{k}[{i}] for the i-th element of harmonic_basis(k)."""
     if max_degree < 0 or max_degree % 2 != 0:
         raise ValueError("max_degree must be an even nonnegative integer")
-    out = []
-    for k in range(0, max_degree + 1, 2):
-        for i, h in enumerate(harmonic_basis(k)):
-            out.append((k, basis_to_degree_minus_2(h, label=f"deg{k}[{i}]")))
-    return out
-
-
-def transform_basis(max_degree):
-    """The degree -2 inputs H |x|^(-k-2) over even k <= max_degree, labeled."""
-    return [f for _, f in _labeled_basis(max_degree)]
+    return [basis_to_degree_minus_2(h, label=f"deg{k}[{i}]")
+            for k in range(0, max_degree + 1, 2)
+            for i, h in enumerate(harmonic_basis(k))]
 
 
 def injectivity_report(max_degree, n_frames, seed,
@@ -148,19 +143,19 @@ def injectivity_report(max_degree, n_frames, seed,
     The span of H |x|^(-k-2) over even k <= max_degree has dimension
     sum (k+1)^2; n_frames must reach it.
     """
-    labeled = _labeled_basis(max_degree)
-    dimension = len(labeled)
+    basis = transform_basis(max_degree)
+    dimension = len(basis)
     if n_frames < dimension:
         raise ValueError(
             f"injectivity at max_degree {max_degree} needs at least "
             f"{dimension} frames, got {n_frames}")
     frames = sample_frames(n_frames, seed)
-    d = design_matrix([f for _, f in labeled], frames, q, seed=seed)
+    d = design_matrix(basis, frames, q, seed=seed)
     rank, cond, _ = _rank_and_condition(d.matrix)
+    degrees = np.array([f.poly.degree for f in basis])
     per_degree = {}
     for k in range(0, max_degree + 1, 2):
-        cols = [j for j, (kk, _) in enumerate(labeled) if kk == k]
-        s = np.linalg.svd(d.matrix[:, cols], compute_uv=False)
+        s = np.linalg.svd(d.matrix[:, degrees == k], compute_uv=False)
         per_degree[k] = float(s[-1])
     return InjectivityReport(rank=rank, dimension=dimension, condition=cond,
                              per_degree_min_singular=per_degree)

@@ -7,9 +7,10 @@ diag_to_chart implement the fixed linear change of variables identifying
 the two, normalized so that the John operator pulls back to exactly one
 quarter of the diagonal operator.
 
-Every stencil here takes one positive step h, central differences at h
-and h/2, and Richardson-extrapolates them, (4 d(h/2) - d(h)) / 3, which
-cancels the leading error term and makes the result fourth order in h.
+Every stencil here takes one positive step h (default defaults.FD_STEP),
+central differences at h and h/2, and Richardson-extrapolates them,
+(4 d(h/2) - d(h)) / 3, which cancels the leading error term and makes
+the result fourth order in h.
 
 A chart field is any callable that maps a stack of chart points of shape
 (m, 2, 2) to m values, shaped (m,) or (m, n+1), such as xray_chart_field,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .defaults import DEFAULTS
+from .defaults import FD_STEP
 
 
 def worst_residual(values):
@@ -93,7 +94,7 @@ def _mixed(v, h):
     return (v[0] - v[1] - v[2] + v[3]) / (4.0 * h * h)
 
 
-def john_operator(phi, X, h=DEFAULTS["fd_step"]):
+def john_operator(phi, X, h=FD_STEP):
     """d2 phi / dX11 dX22 - d2 phi / dX12 dX21 by central differences at
     steps h and h/2, Richardson-extrapolated.
 
@@ -168,7 +169,7 @@ def _coupled_box_step(A, psi, x, h):
     return total
 
 
-def coupled_box(A, psi, x, h=DEFAULTS["fd_step"]):
+def coupled_box(A, psi, x, h=FD_STEP):
     """The signature-(2,2) wave operator coupled to a connection.
 
     Computes sum_i s_i (d_i + A_i)^2 psi with signs (+,+,-,-), built from
@@ -189,12 +190,12 @@ def coupled_box(A, psi, x, h=DEFAULTS["fd_step"]):
     return _extrapolate(*[_coupled_box_step(A, psi, x, s) for s in _steps(h)])
 
 
-def box_diag(psi, x, h=DEFAULTS["fd_step"]):
+def box_diag(psi, x, h=FD_STEP):
     """d1^2 + d2^2 - d3^2 - d4^2 by central differences (flat coupled_box)."""
     return coupled_box(None, psi, np.asarray(x, dtype=float), h)
 
 
-def dn_residual(phi, X, h=DEFAULTS["fd_step"]):
+def dn_residual(phi, X, h=FD_STEP):
     """Consistency residual of a moment field at a chart point.
 
     phi is a chart field whose values have a trailing axis of length n+1,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from splitxray import cli, inversion, operators, penrose, xray
 from splitxray.cli import CONFIG_SCHEMA, ConfigError, main, run
-from splitxray.defaults import DEFAULTS, POLE_MARGIN, TOLERANCES
+from splitxray.defaults import DEFAULTS, FD_STEP, POLE_MARGIN, TOLERANCES
 
 
 @pytest.fixture(scope="module")
@@ -95,16 +95,21 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_tolerances_are_not_configurable(tmp_path, capsys):
-    # a check's tolerance is the one pinned in TOLERANCES: neither a flag
-    # nor a config file can set it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-selfdual", "--tolerances", '{"selfdual": 1e-3}'])
-    assert exc.value.code == 2
-    assert "--tolerances" in capsys.readouterr().err
+    # a check's tolerance is the one pinned in TOLERANCES, and the stencil
+    # step is defaults.FD_STEP, at which the tolerances were pinned: neither
+    # a flag nor a config file can set them
     cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({"tolerances": {"selfdual": 1e-3}}))
-    assert main(["verify-selfdual", "--config", str(cfg)]) == 2
-    assert "tolerances" in capsys.readouterr().err
+    for key, text, value in (("tolerances", '{"selfdual": 1e-3}',
+                              {"selfdual": 1e-3}),
+                             ("fd_step", "1e-3", 1e-3)):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-selfdual", flag, text])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["verify-selfdual", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_deterministic_reports(capsys):
@@ -122,12 +127,12 @@ def test_config_file_merging_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7, "nodes": 32}))
     main(["geometry-roundtrip", "--config", str(cfg), "--seed", "8",
-          "--fd-step", "2e-3", "--state-a", "1,0,1j,0"])
+          "--n-frames", "40", "--state-a", "1,0,1j,0"])
     payload = json.loads(capsys.readouterr().out)
     env = payload["environment"]
     assert env["seed"] == 8          # flag beats file
     assert env["nodes"] == 32        # file beats default
-    assert env["fd_step"] == 2e-3
+    assert env["n_frames"] == 40
     assert env["state_a"] == ["1", "0", "1j", "0"]
 
 
@@ -175,14 +180,14 @@ def test_penrose_elementary_passes_at_formerly_failing_seeds(seed):
 
 def test_defaults_table_is_consistent():
     assert DEFAULTS["nodes"] == 128
-    assert DEFAULTS["fd_step"] == 1e-3
+    assert FD_STEP == 1e-3
     assert set(CONFIG_SCHEMA["properties"]) == {*DEFAULTS, "command",
                                                 "output", "format"}
     assert xray.QuadratureSpec().n_nodes == DEFAULTS["nodes"]
     for operator in (operators.john_operator, operators.dn_residual,
                      operators.coupled_box, operators.box_diag):
         step = inspect.signature(operator).parameters["h"]
-        assert step.default == DEFAULTS["fd_step"]
+        assert step.default == FD_STEP
     for function in (penrose.pole_safety, penrose.contour_transform,
                      penrose.contour_chart_field):
         margin = inspect.signature(function).parameters["margin"]
@@ -193,7 +198,7 @@ def test_every_config_key_is_a_flag_of_every_subcommand():
     expected = {"--config"} | {"--" + key.replace("_", "-")
                                for key in CONFIG_SCHEMA["properties"]
                                if key != "command"}
-    assert len(expected) == 12
+    assert len(expected) == 11
     sub, = (a for a in cli._build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli.SUITES)
@@ -202,8 +207,7 @@ def test_every_config_key_is_a_flag_of_every_subcommand():
                 if o.startswith("--")} == expected | {"--help"}
 
 
-@pytest.mark.parametrize("flag, value", [("--fd-step", "tiny"),
-                                         ("--nodes", "many")])
+@pytest.mark.parametrize("flag, value", [("--nodes", "many")])
 def test_unparsable_flag_exits_2(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["verify-selfdual", flag, value])
@@ -259,7 +263,6 @@ def test_every_default_is_read_by_some_suite(default_runs):
 # value of the key that changes the name, value or tolerance of a check.
 SECOND_VALUES = {
     "nodes": ("verify-moments", 32),
-    "fd_step": ("verify-coupled-box", 2e-3),
     "seed": ("verify-coupled-box", 1),
     "max_degree": ("verify-john", 2),
     "n_frames": ("reconstruct", 40),
@@ -331,12 +334,6 @@ REFUSED_EDGES = [
                                 "verify-coupled-box"]),
     # the coupled box runs flagship-u1 only and refuses to report another
     ("--connection", "su2-constant", ["verify-coupled-box"]),
-    ("--fd-step", "1e300", ["verify-john", "verify-moments",
-                            "verify-coupled-box", "penrose-elementary"]),
-    # below about 1e-17 the stencil points round onto their centre and
-    # every residual reads exactly 0.0
-    ("--fd-step", "1e-20", ["verify-john", "verify-moments",
-                            "verify-coupled-box", "penrose-elementary"]),
     *((flag, value, ["penrose-elementary"])
       for flag in ("--state-a", "--state-b")
       for value in ("nan,0,1,0", "inf,0,1,0", "1,2,3,4", "1j,2j,3j,4j")),
@@ -345,9 +342,6 @@ REFUSED_EDGES = [
 ACCEPTED_EDGES = [
     ("verify-coupled-box", "--seed", "0", 0),
     ("reconstruct", "--max-degree", "0", 0),
-    ("verify-moments", "--fd-step", "0.1", 1),
-    ("verify-moments", "--fd-step", "1e-6", 0),
-    ("penrose-elementary", "--fd-step", "0.1", 0),
     # Four nodes.  verify-john and verify-moments still pass, since each
     # node's term satisfies their identity by itself, and so do injectivity
     # and reconstruct.  The weight law sees the quadrature error, and
@@ -433,7 +427,7 @@ def schema_boundary_values():
 def test_schema_boundary_values_exit_0_1_or_2(tmp_path, capsys):
     cases = schema_boundary_values()
     assert {key for key, _, _ in cases} == {
-        "nodes", "fd_step", "seed", "max_degree", "n_frames", "format"}
+        "nodes", "seed", "max_degree", "n_frames", "format"}
     path = tmp_path / "config.json"
     for key, value, inside in cases:
         # the cheapest suite that reads the key; every suite reads format

@@ -71,6 +71,17 @@ def test_degenerate_frame_rejected():
         Frame([0, 0, 0, 0], [1, 0, 0, 0])
 
 
+def test_frame_rows_cannot_be_rebound():
+    # rebound rows would skip check_frames: a degenerate or (3, 4) array
+    # used to give finite, wrong transforms without an error
+    frame = Frame([1, 0, 0, 0], [0, 1, 0, 0])
+    rows = frame.rows
+    for bad in (np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]]), np.zeros((3, 4))):
+        with pytest.raises(AttributeError, match="cannot be set"):
+            frame.rows = bad
+    assert frame.rows is rows
+
+
 # ---- chart -----------------------------------------------------------------
 
 def test_plane_from_chart_values():

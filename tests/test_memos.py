@@ -110,11 +110,12 @@ def test_writable_arrays_are_never_memoized():
     h.poly(x)
     assert poly.point_memo(x) is None
     assert poly._memo[0] is not x
-    # a frame whose rows were swapped for a writable array: its circle is
-    # not kept, and a change of u shows in the next transform
+    # a frame whose rows were made writable before its first transform:
+    # its circle is not kept, and a change of u shows in the next transform
+    # (its rows cannot be rebound, test_frame_rows_cannot_be_rebound)
     a, b = sample_frames(2, 4)
     loose = Frame(a.u, a.v)
-    loose.rows = np.array(a.rows)
+    loose.rows.setflags(write=True)
     first = xray_transform(g, loose, Q16)
     assert xray._circle[0] is not loose.rows
     assert first == memo_free_transform(g, a, Q16)
