@@ -14,13 +14,12 @@ nodes             128          quadrature nodes of every circle integral
 seed              2025         RNG seed for all sampled data
 max_degree        4            top even basis degree
 n_frames          120          frames for injectivity/reconstruction
-connection        flagship-u1  named connection preset
-state_a           1,0,1j,0     elementary-state covectors of
-state_b           1j,0,1,0     penrose-elementary
 save_design       None         path prefix for the design-matrix CSV + JSON
 ================  ===========  ==========================================
 
-FD_STEP and POLE_MARGIN are library constants, not configuration keys.
+FD_STEP and POLE_MARGIN are library constants, not configuration keys,
+and so is each suite's witness: the instanton suites check the connection
+flagship-u1, and penrose-elementary its two fixed elementary states.
 FD_STEP is the step h of every finite-difference stencil (the stencils
 also take h/2 and Richardson-extrapolate).  POLE_MARGIN is the default
 minimum distance of a pole from the integration circle (the `margin` of
@@ -58,10 +57,6 @@ DEFAULTS = {
     "seed": 2025,
     "max_degree": 4,
     "n_frames": 120,
-    "connection": "flagship-u1",
-    # elementary-state covectors for the penrose suite (complex literals)
-    "state_a": ["1", "0", "1j", "0"],
-    "state_b": ["1j", "0", "1", "0"],
     # optional path prefix for the design-matrix CSV + JSON sidecar
     "save_design": None,
 }

@@ -203,11 +203,12 @@ def _parse_monomial(text):
 
 
 def connection_preset(name: str) -> Connection:
-    """Named connections addressable from the CLI.
+    """Named connections.
 
     zero, flagship-u1 (i(x1 dx2 + x3 dx4), self-dual), asd-u1
     (i(x1 dx2 - x3 dx4), anti-self-dual), pure-gauge(chi) for a monomial
-    phase chi (default x1), su2-constant.
+    phase chi (default x1), su2-constant.  The instanton suites check
+    flagship-u1 only; no configuration chooses a preset.
     """
     zero1 = np.array([[Poly4.zero()]], dtype=object)
 

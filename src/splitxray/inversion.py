@@ -23,6 +23,10 @@ from .xray import QuadratureSpec, xray_transform
 RANK_RTOL = 1e-8
 
 
+class RankDeficientError(ValueError):
+    """reconstruct's refusal of a design matrix without full column rank."""
+
+
 @dataclass
 class DesignMatrix:
     """Rows = frames, columns = basis functions, entries = transforms."""
@@ -86,9 +90,10 @@ def reconstruct(samples, d: DesignMatrix,
     """Least-squares coefficients explaining the transform samples.
 
     Requires at least as many frames as basis functions and full column
-    rank; on rank deficiency the error names the offending null
-    combination of basis functions.  When the true coefficient vector is
-    known it can be passed in to have the relative error reported.
+    rank; on rank deficiency it raises RankDeficientError, which names the
+    offending null combination of basis functions.  When the true
+    coefficient vector is known it can be passed in to have the relative
+    error reported.
     """
     samples = np.asarray(samples, dtype=float)
     rows, cols = d.shape
@@ -102,8 +107,8 @@ def reconstruct(samples, d: DesignMatrix,
         null = vt[-1]
         terms = [f"{c:+.3f}*{name}" for c, name in zip(null, d.basis_ids)
                  if abs(c) > 1e-6]
-        raise ValueError("design matrix is rank deficient; null combination "
-                         + " ".join(terms))
+        raise RankDeficientError("design matrix is rank deficient; null "
+                                 "combination " + " ".join(terms))
     coeff, *_ = np.linalg.lstsq(d.matrix, samples, rcond=None)
     rel = None
     if true_coefficients is not None:

@@ -70,7 +70,8 @@ def test_criterion_01_flagship_closed_form():
 
 def test_criterion_02_john_equation_over_basis(monkeypatch):
     fields = spy(monkeypatch, xray, "xray_chart_field")
-    run_suite(2, "verify-john", 102, ["john:deg0", "john:deg2", "john:deg4"])
+    run_suite(2, "verify-john", 102,
+              ["john:deg0", "john:deg2", "john:deg4", "john:anchor"])
     assert len(fields) == 35
 
 

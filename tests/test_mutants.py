@@ -13,6 +13,8 @@ This is mutation analysis (DeMillo, Lipton & Sayward, IEEE Computer
 """
 
 import dataclasses
+import json
+import math
 import sys
 
 import numpy as np
@@ -88,6 +90,8 @@ MUTANTS = {
                   lambda real: _john(lambda a, b: a + b)),
     "john-first-partial": (operators, "john_operator",
                            lambda real: _john(lambda a, b: a)),
+    "john-times-1e-6": (operators, "john_operator",
+                        lambda real: lambda *args: 1e-6 * real(*args)),
     "equivariance-g-for-transpose": (
         xray, "equivariance_residual",
         lambda real: _equivariance_with_g_for_its_transpose),
@@ -117,6 +121,10 @@ MUTANTS = {
 PAIRS = [
     ("john-plus", "verify-john"),
     ("john-first-partial", "verify-john"),
+    ("john-plus", "penrose-elementary"),
+    ("john-first-partial", "penrose-elementary"),
+    ("john-times-1e-6", "verify-john"),
+    ("john-times-1e-6", "penrose-elementary"),
     ("equivariance-g-for-transpose", "verify-equivariance"),
     ("hodge-star-metric", "verify-selfdual"),
     ("wedge-plus", "penrose-elementary"),
@@ -157,6 +165,9 @@ SURVIVORS = {
     ("quadrature-4-nodes", "verify-moments"),
     ("quadrature-4-nodes", "injectivity"),
     ("quadrature-4-nodes", "reconstruct"),
+    # the Penrose John check reads a solution's residual, near 0 at any
+    # scale of the operator; verify-john's john:anchor pins the scale
+    ("john-times-1e-6", "penrose-elementary"),
 }
 
 
@@ -216,6 +227,21 @@ def test_each_survivor_changes_what_it_replaces(monkeypatch):
                 assert not np.allclose(instanton.curvature(su2, x), real_f)
             elif mutant == "quadrature-4-nodes":
                 assert xray.QuadratureSpec(128).n_nodes == 4
+            elif mutant == "john-times-1e-6":
+                assert operators.john_operator(
+                    lambda X: X[..., 0, 0] * X[..., 1, 1],
+                    np.zeros((2, 2))) < 1e-3
             else:
                 matrix = inversion.design_matrix(basis, frames, q).matrix
                 assert not np.allclose(matrix, real_m), mutant
+
+
+def test_rank_deficient_reconstruct_fails_its_check(monkeypatch, capsys):
+    # reconstruct refuses the duplicated column; the suite reports that
+    # refusal as a failed check, not as a traceback
+    install(monkeypatch, "design-duplicate-column")
+    assert cli.main(["reconstruct"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAILED checks: reconstruction" in err
+    check, = json.loads(out)["checks"]
+    assert check["name"] == "reconstruction" and check["value"] == math.inf
