@@ -77,14 +77,21 @@ class Report:
     timestamp: str
 
     def to_json(self):
+        """The report as strict JSON: a non-finite check value is written
+        as the string "inf", "-inf" or "nan", its spelling in the CSV."""
+        checks = [asdict(c) for c in self.checks]
+        for c in checks:
+            if not math.isfinite(c["value"]):
+                c["value"] = repr(c["value"])
         payload = {
             "command": self.command,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": checks,
             "environment": self.environment,
             "overall": self.overall,
             "timestamp": self.timestamp,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     def to_csv(self):
         buf = io.StringIO()
@@ -158,6 +165,22 @@ def _chart_points(rng, count, scale=0.35):
     return [scale * rng.normal(size=(2, 2)) for _ in range(count)]
 
 
+def _john_anchor(points):
+    """Worst distance of the John operator of X11 X22 from 1 at the chart
+    points: this pins the operator's scale, which residuals of solutions,
+    all near 0, cannot see."""
+    anchor = lambda X: X[..., 0, 0] * X[..., 1, 1]
+    return worst_residual(abs(operators.john_operator(anchor, X) - 1.0)
+                          for X in points)
+
+
+def _basis_dimension(cfg, size):
+    """|size - sum over even k <= max_degree of (k+1)^2|: a basis of
+    another size fits some other span, however well it is conditioned."""
+    return _record("basis_dimension", abs(size - sum(
+        (k + 1) ** 2 for k in range(0, cfg["max_degree"] + 1, 2))))
+
+
 # ---- suites ----------------------------------------------------------------
 
 def _suite_verify_john(cfg):
@@ -171,12 +194,8 @@ def _suite_verify_john(cfg):
             residuals += [abs(operators.john_operator(phi, X))
                           for X in _chart_points(rng, 10)]
         checks.append(_record(f"john:deg{k}", worst_residual(residuals)))
-    # the John operator of X11 X22 is 1: this pins the operator's scale,
-    # which residuals of solutions, all near 0, cannot see
-    anchor = lambda X: X[..., 0, 0] * X[..., 1, 1]
-    checks.append(_record("john:anchor", worst_residual(
-        abs(operators.john_operator(anchor, X) - 1.0)
-        for X in _chart_points(rng, 5))))
+    checks.append(_record("john:anchor",
+                          _john_anchor(_chart_points(rng, 5))))
     return checks
 
 
@@ -381,10 +400,9 @@ def _suite_penrose_elementary(cfg):
     X0 = np.asarray(geometry.chart_from_plane(base))
     chart_signature = penrose.factor_orientation(state, chart_frame)
     phi = penrose.contour_chart_field(state, q)
-    residuals = []
-    tried = 0
+    points = []
     for dX in _chart_points(rng, 40, scale=0.05):
-        if tried == 5:
+        if len(points) == 5:
             break
         X = X0 + dX
         fr = geometry.plane_from_chart(X)
@@ -392,11 +410,12 @@ def _suite_penrose_elementary(cfg):
             continue
         if penrose.factor_orientation(state, fr) != chart_signature:
             continue
-        residuals.append(abs(operators.john_operator(phi, X)))
-        tried += 1
-    if tried == 0:
+        points.append(X)
+    if not points:
         raise ConfigError("no pole-safe chart neighborhood for the John check")
-    checks.append(_record("penrose_john", worst_residual(residuals)))
+    checks.append(_record("penrose_john", worst_residual(
+        abs(operators.john_operator(phi, X)) for X in points)))
+    checks.append(_record("penrose_john:anchor", _john_anchor(points)))
     return checks
 
 
@@ -440,6 +459,7 @@ def _suite_reconstruct(cfg):
             inversion.save_design_matrix(d, cfg["save_design"])
         except OSError as e:
             raise ConfigError(f"cannot write the design matrix: {e}") from e
+    dimension = _basis_dimension(cfg, len(basis))
     rng = np.random.default_rng(cfg["seed"] + 1)
     errors = []
     for _ in range(3):
@@ -448,9 +468,9 @@ def _suite_reconstruct(cfg):
         try:
             report = inversion.reconstruct(samples, d, true_coefficients=c)
         except inversion.RankDeficientError:
-            return [_record("reconstruction", math.inf)]
+            return [dimension, _record("reconstruction", math.inf)]
         errors.append(report.relative_coefficient_error)
-    return [_record("reconstruction", worst_residual(errors))]
+    return [dimension, _record("reconstruction", worst_residual(errors))]
 
 
 def _suite_injectivity(cfg):
@@ -460,7 +480,8 @@ def _suite_injectivity(cfg):
                                               cfg["seed"], q)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return [_record("rank_defect", float(report.dimension - report.rank))]
+    return [_basis_dimension(cfg, report.dimension),
+            _record("rank_defect", float(report.dimension - report.rank))]
 
 
 SUITES = {

@@ -35,6 +35,7 @@ TOLERANCES = {
     "moments": 1e-6,
     "reconstruction": 1e-6,
     "rank_defect": 0.0,
+    "basis_dimension": 0.0,
     "selfdual": 1e-10,
     "star_involution": 1e-14,
     "gauge_invariance": 1e-8,

@@ -7,9 +7,13 @@ nodes make the quadrature spectrally accurate for the analytic integrands
 in scope.  No 1/(2pi) normalization is applied anywhere, so the flagship
 closed form is exactly 2*pi/sqrt(det Gram).
 
-A QuadratureSpec computes the cos and sin of its nodes and the weight
-2pi/n once, when it is built; a transform then costs the circle points,
-one evaluation of the integrand on them and one np.add.reduce times the
+Every integrand in scope is pi-periodic in theta, since x -> -x leaves it
+unchanged (see require_degree), so at even n the n-node rule sums each
+value twice: a spec keeps the first n/2 nodes at twice the weight, and
+every transform evaluates its integrand on half the circle.  A
+QuadratureSpec computes the cos and sin of its nodes and its weight once,
+when it is built; a transform then costs the circle points, one
+evaluation of the integrand on them and one np.add.reduce times the
 weight.  Frames enter as rows, a Frame's read-only (2, 4) `rows` or a
 (..., 2, 4) stack, and one gate, require_degree, checks the degree of
 every input.  xray_transform keeps the read-only circle points of the last
@@ -42,10 +46,15 @@ from .poly import frozen
 class QuadratureSpec:
     """Uniform periodic trapezoid rule on [0, 2pi) with n_nodes >= 4.
 
-    n_nodes is an int (operator.index refuses a float such as 4.5).  The
-    weight 2pi/n_nodes and the node columns cos and sin are computed once,
+    n_nodes is an int (operator.index refuses a float such as 4.5).  For a
+    pi-periodic integrand, the only kind require_degree lets through, the
+    n-node rule equals its sum over the nodes theta_j = 2pi j/n in [0, pi)
+    times 2pi/(n/2) when n is even, so the spec keeps only those n/2 nodes;
+    at odd n no node pairs with another and it keeps all n, at weight
+    2pi/n.  The weight and the node columns cos and sin are computed once,
     at construction, and the columns are read-only; every transform on this
-    spec reuses them.
+    spec reuses them.  n_nodes still names the n-node rule, whose accuracy
+    the spec has.
     """
 
     n_nodes: int = DEFAULTS["nodes"]
@@ -57,22 +66,21 @@ class QuadratureSpec:
         object.__setattr__(self, "n_nodes", operator.index(self.n_nodes))
         if self.n_nodes < 4:
             raise ValueError("quadrature needs at least 4 nodes")
-        object.__setattr__(self, "weight", 2.0 * np.pi / self.n_nodes)
-        theta = self.angles()
+        # theta_j + pi repeats theta_j at even n: keep the first half
+        count = self.n_nodes // 2 if self.n_nodes % 2 == 0 else self.n_nodes
+        object.__setattr__(self, "weight", 2.0 * np.pi / count)
+        theta = np.arange(count) * (2.0 * np.pi / self.n_nodes)
         for name, column in (("cos", np.cos(theta)), ("sin", np.sin(theta))):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-
-    def angles(self):
-        return np.arange(self.n_nodes) * self.weight
 
 
 def circle_points(rows, q: QuadratureSpec):
     """Quadrature points u cos(theta_j) + v sin(theta_j).
 
     `rows` is a (..., 2, 4) stack of frame rows (u, v), such as a Frame's
-    `rows`; the points have shape (..., n_nodes, 4).  They are built
-    coordinate-major, as rows u_i cos + v_i sin of shape (..., 4, n_nodes)
+    `rows`; the points have shape (..., len(q.cos), 4).  They are built
+    coordinate-major, as rows u_i cos + v_i sin of shape (..., 4, len(q.cos))
     whose inner loops run over the nodes, and returned as a C-contiguous
     copy that owns its data, so that a memo may key on it once it is
     read-only (see poly.frozen).  They equal np.outer(cos, u) +
@@ -84,10 +92,10 @@ def circle_points(rows, q: QuadratureSpec):
 
 
 def circle_integral(values, q: QuadratureSpec):
-    """Periodic trapezoid sum of values sampled at the nodes along the last
-    axis, times the spec's weight 2pi/n; shared by all transforms."""
+    """Periodic trapezoid sum of values sampled at the spec's nodes along
+    the last axis, times its weight; shared by all transforms."""
     values = np.asarray(values)
-    if values.shape[-1:] != (q.n_nodes,):
+    if values.shape[-1:] != (len(q.cos),):
         raise ValueError("value count does not match the quadrature spec")
     return np.add.reduce(values, -1) * q.weight
 
@@ -95,7 +103,11 @@ def circle_integral(values, q: QuadratureSpec):
 def require_degree(f, n=0):
     """Raise unless f has degree -n-2, as every transform (n = 0) and the
     helicity-n moments need; for a HomogeneousFunction that is parity (-1)^n
-    under x -> -x as well, since f(-x) = (-1)^degree f(x) by construction."""
+    under x -> -x as well, since f(-x) = (-1)^degree f(x) by construction,
+    and so is a product of integer powers of linear forms.  The moment
+    weight cos^(n-k) sin^k has parity (-1)^n too, so every integrand that
+    passes this gate is even under x -> -x and pi-periodic on the circle,
+    where the half-circle nodes of QuadratureSpec give the n-node rule."""
     if n < 0:
         raise ValueError("helicity index must be nonnegative")
     if f.degree != -n - 2:

@@ -91,8 +91,8 @@ def test_criterion_05_moment_consistency():
 
 
 def test_criterion_06_bijectivity_witness():
-    run_suite("6a", "injectivity", 106, ["rank_defect"])
-    run_suite("6b", "reconstruct", 106, ["reconstruction"])
+    run_suite("6a", "injectivity", 106, ["basis_dimension", "rank_defect"])
+    run_suite("6b", "reconstruct", 106, ["basis_dimension", "reconstruction"])
 
 
 def test_criterion_07_split_instanton():
@@ -105,7 +105,8 @@ def test_criterion_07_split_instanton():
 
 def test_criterion_08_penrose_avatar():
     run_suite(8, "penrose-elementary", 108,
-              ["penrose_value", "penrose_ratio_spread", "penrose_john"])
+              ["penrose_value", "penrose_ratio_spread", "penrose_john",
+               "penrose_john:anchor"])
 
 
 def test_criterion_09_geometry():

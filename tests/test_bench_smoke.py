@@ -3,7 +3,7 @@
 A traced run checks what the unit tests do not: that its hooks still fit
 the functions they wrap, that the benchmark's own time stays within its
 share of the pass, and that every traced name resolves.  Each run takes
-about a second and writes only under bench/out/.
+one to four seconds and writes only under bench/out/.
 """
 
 import json
@@ -16,7 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["suites-default", "penrose-sweep"])
+@pytest.mark.parametrize("workload",
+                         ["suites-default", "design-scaled", "penrose-sweep"])
 def test_traced_benchmark_pass_is_correct(workload):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",

@@ -227,6 +227,23 @@ def test_nan_residual_after_the_first_fails_its_check(monkeypatch):
     assert report.checks[1].passed and not report.overall
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_non_finite_values_are_strict_json_in_the_csv_spelling():
+    values = [math.inf, -math.inf, math.nan, 1e-9]
+    report = cli.Report(
+        command="verify-moments", environment=dict(DEFAULTS), overall=False,
+        timestamp="t", checks=[cli._record("moments:n1", v) for v in values])
+    checks = json.loads(report.to_json(),
+                        parse_constant=_refuse_constant)["checks"]
+    assert [c["value"] for c in checks] == ["inf", "-inf", "nan", 1e-9]
+    rows = report.to_csv().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows[:3]] == ["inf", "-inf", "nan"]
+    assert [c["passed"] for c in checks] == [False, False, False, True]
+
+
 # Every suite that integrates over circles, at a count above the default,
 # and at 32 the three suites that a hidden floor used to raise to 128.
 @pytest.mark.parametrize("command, nodes", [

@@ -166,12 +166,13 @@ def test_each_memo_holds_one_entry_after_a_400_frame_matrix():
     design_matrix(basis, frames, Q16)
     rows, q, points = xray._circle
     assert rows is frames[-1].rows and q is Q16
-    assert not points.flags.writeable and points.shape == (16, 4)
+    # the 16-node rule evaluates its 8 nodes on [0, pi)
+    assert not points.flags.writeable and points.shape == (8, 4)
     last, entries = poly._memo
     assert last is points
     assert {key: value.shape for key, value in entries.items()} == {
-        ("monomials", 0): (1, 16), ("monomials", 2): (10, 16),
-        ("radial", -2): (16,), ("radial", -4): (16,)}
+        ("monomials", 0): (1, 8), ("monomials", 2): (10, 8),
+        ("radial", -2): (8,), ("radial", -4): (8,)}
 
 
 def test_poly_table_grows_with_degree_on_one_point_array():
@@ -185,7 +186,7 @@ def test_poly_table_grows_with_degree_on_one_point_array():
     last, entries = poly._memo
     assert last is x
     assert {key: value.shape for key, value in entries.items()} == {
-        ("monomials", 2): (10, 16), ("monomials", 5): (56, 16)}
+        ("monomials", 2): (10, 8), ("monomials", 5): (56, 8)}
 
 
 def test_one_power_table_per_frame_and_degree(monkeypatch):

@@ -204,7 +204,8 @@ def _per_factor_reference(f, frame, q, margin):
     """Pole minima, half-widths, normalized margin, refusal verdict,
     covector-times-frame sizes, contour value and the trapezoid sum of |f|,
     from per-factor formulas: one np.dot per coefficient, points built
-    node-major, one matrix-vector product per factor."""
+    node-major on all q.n_nodes nodes of the full circle, one
+    matrix-vector product per factor."""
     minima, widths = [], []
     for a, _ in f.factors:
         alpha = complex(np.dot(frame.u, a))
@@ -216,8 +217,9 @@ def _per_factor_reference(f, frame, q, margin):
         widths.append(0.5 * math.atanh(2.0 * abs(cross.imag) / (aa + bb)))
     scale = math.sqrt(max(np.dot(frame.u, frame.u), np.dot(frame.v, frame.v)))
     norms = [math.sqrt(np.vdot(a, a).real) * scale for a, _ in f.factors]
-    points = q.cos[:, None] * frame.u + q.sin[:, None] * frame.v
-    points = points.astype(complex)
+    theta = np.arange(q.n_nodes) * (2.0 * np.pi / q.n_nodes)
+    points = (np.cos(theta)[:, None] * frame.u
+              + np.sin(theta)[:, None] * frame.v).astype(complex)
     values = np.full(q.n_nodes, f.scale, dtype=complex)
     for a, m in f.factors:
         values = values * (points @ a) ** m

@@ -4,8 +4,12 @@ from numpy.testing import assert_allclose
 
 from splitxray.fields import (HomogeneousFunction, basis_to_degree_minus_2,
                               harmonic_basis)
-from splitxray.geometry import Frame, plane_from_chart
-from splitxray.inversion import sample_frames
+from splitxray.geometry import (Frame, chart_frame_rows, chart_from_plane,
+                                plane_from_chart)
+from splitxray.inversion import design_matrix, sample_frames
+from splitxray.penrose import (TwistorRationalFunction, contour_chart_field,
+                               contour_transform, elementary_state,
+                               factor_orientation, pole_safety)
 from splitxray.poly import Poly4
 from splitxray.xray import (QuadratureSpec, circle_integral, circle_points,
                             equivariance_residual, moment_chart_field,
@@ -110,13 +114,15 @@ def test_quadrature_spec_validation():
             QuadratureSpec(n_nodes)
     q = QuadratureSpec(np.int64(64))
     assert q == QuadratureSpec(64) and type(q.n_nodes) is int
-    assert q.weight == 2.0 * np.pi / 64
+    # the 64-node rule on its 32 nodes in [0, pi), each counted twice
+    assert q.weight == 2.0 * np.pi / 32 and len(q.cos) == len(q.sin) == 32
 
 
 def test_circle_points_shape_and_values():
+    # the 4-node rule evaluates theta = 0 and pi/2
     q = QuadratureSpec(4)
     pts = circle_points(Frame(E[0], E[1]).rows, q)
-    assert pts.shape == (4, 4)
+    assert pts.shape == (2, 4)
     assert_allclose(pts[0], E[0], atol=1e-15)
     assert_allclose(pts[1], E[1], atol=1e-15)
 
@@ -127,7 +133,7 @@ def test_node_columns_are_built_once_and_keep_the_points():
     assert q != QuadratureSpec(64)
     with pytest.raises(ValueError):
         q.cos[0] = 0.0
-    theta = np.arange(96) * (2.0 * np.pi / 96)
+    theta = np.arange(48) * (2.0 * np.pi / 96)
     for frame in sample_frames(5, 3):
         outer = (np.outer(np.cos(theta), frame.u)
                  + np.outer(np.sin(theta), frame.v))
@@ -136,16 +142,18 @@ def test_node_columns_are_built_once_and_keep_the_points():
 
 def test_circle_integral_constant():
     q = QuadratureSpec(64)
-    assert_allclose(circle_integral(np.ones(64), q), 2 * np.pi, rtol=1e-15)
-    with pytest.raises(ValueError, match="match"):
-        circle_integral(np.ones(32), q)
+    assert_allclose(circle_integral(np.ones(32), q), 2 * np.pi, rtol=1e-15)
+    # one value per node evaluated, not per node of the 64-node rule
+    for count in (16, 64):
+        with pytest.raises(ValueError, match="match"):
+            circle_integral(np.ones(count), q)
     with pytest.raises(ValueError, match="match"):
         circle_integral(np.float64(1.0), q)
 
 
 def test_circle_integral_of_a_list_equals_that_of_an_array():
     q = QuadratureSpec(16)
-    values = np.random.default_rng(3).normal(size=(3, 16))
+    values = np.random.default_rng(3).normal(size=(3, 8))
     for v in (values, values[0]):
         assert np.array_equal(circle_integral(v.tolist(), q),
                               circle_integral(v, q))
@@ -211,9 +219,10 @@ def test_moment_chart_field_evaluates_the_input_once_per_call():
     vector = m(X)
     for k in (0, 1):
         assert vector[k] == xray_moments(f, plane_from_chart(X), 1, q)[k]
-    # once for the field and once per xray_moments call, on circle points
-    # only: parity follows from the degree, so nothing is probed
-    assert shapes == [(16, 4)] * 3
+    # once for the field and once per xray_moments call, on the 8 circle
+    # points of [0, pi) only: parity follows from the degree, so nothing is
+    # probed
+    assert shapes == [(8, 4)] * 3
 
 
 # ---- equivariance ---------------------------------------------------------------
@@ -255,9 +264,9 @@ def test_circle_points_broadcast_over_stacks_of_frame_rows():
     frames = sample_frames(6, 4)
     rows = np.array([[f.u, f.v] for f in frames]).reshape(2, 3, 2, 4)
     pts = circle_points(rows, q)
-    assert pts.shape == (2, 3, 32, 4)
+    assert pts.shape == (2, 3, 16, 4)
     for i, frame in enumerate(frames):
-        assert np.array_equal(pts.reshape(6, 32, 4)[i],
+        assert np.array_equal(pts.reshape(6, 16, 4)[i],
                               circle_points(frame.rows, q))
 
 
@@ -282,3 +291,152 @@ def test_moment_vector_matches_components_and_xray_moments():
     for Xi, vec in zip(X, vectors):
         assert np.array_equal(vec, xray_moments(f, plane_from_chart(Xi), 2, q))
         assert np.array_equal(m(Xi), vec)
+
+
+# ---- the half-circle rule ---------------------------------------------------
+# Every integrand that passes require_degree is even under x -> -x, so the
+# spec's n/2 nodes on [0, pi) give the n-node rule over the whole circle.
+# The references below sum all n nodes, from points built with np.outer.
+
+A_COV = np.array([1, 0.3, 1j, 0.2 - 0.5j])
+B_COV = np.array([1j, 0.7, 1, -0.4 + 0.1j])
+MOVE = np.array([[1.0, 0.4], [-0.3, 1.8]])
+
+
+def full_circle_sums(f, rows, n, moment=None):
+    """The n-node trapezoid rule over [0, 2pi) on each frame of a
+    (..., 2, 4) stack of rows; with moment = (n_h, k) the integrand is
+    f cos^(n_h - k) sin^k."""
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    c, s = np.cos(theta), np.sin(theta)
+    w = 1.0 if moment is None else c ** (moment[0] - moment[1]) * s ** moment[1]
+    rows = np.asarray(rows)
+    sums = [np.sum(f(np.outer(c, u) + np.outer(s, v)) * w) * (2.0 * np.pi / n)
+            for u, v in rows.reshape(-1, 2, 4)]
+    return np.array(sums).reshape(rows.shape[:-2])
+
+
+def assert_relative(got, want, rtol=1e-13):
+    """|got - want| within rtol of the largest |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def moved_frames(count, seed):
+    """Seeded orthonormal frames moved by a fixed GL(2) matrix, so that the
+    integrands are not symmetric on the circle by accident."""
+    return [frame.transform(MOVE) for frame in sample_frames(count, seed)]
+
+
+@pytest.mark.parametrize("n", [6, 64, 128])
+def test_xray_transforms_equal_the_full_circle_rule(n):
+    q = QuadratureSpec(n)
+    assert len(q.cos) == n // 2
+    basis = [basis_to_degree_minus_2(h) for k in (0, 2, 4)
+             for h in harmonic_basis(k)[:3]]
+    frames = moved_frames(6, 21)
+    rows = np.array([frame.rows for frame in frames])
+    want = np.stack([full_circle_sums(f, rows, n) for f in basis], axis=-1)
+    assert_relative([[xray_transform(f, fr, q) for f in basis]
+                     for fr in frames], want)
+    matrix = design_matrix(basis, frames, q).matrix
+    for column, expected in zip(matrix.T, want.T):
+        assert_relative(column, expected)
+    X = 0.35 * np.random.default_rng(22).normal(size=(3, 2, 2))
+    for f in basis:
+        assert_relative(xray_chart_field(f, q)(X),
+                        full_circle_sums(f, chart_frame_rows(X), n))
+
+
+@pytest.mark.parametrize("n", [6, 64])
+def test_moments_equal_the_full_circle_rule(n):
+    q = QuadratureSpec(n)
+    frames = moved_frames(4, 23)
+    X = 0.35 * np.random.default_rng(24).normal(size=(3, 2, 2))
+    for n_h in (1, 2):
+        for h in harmonic_basis(n_h)[:4]:
+            f = HomogeneousFunction(h.poly, -2 * n_h - 2)
+            for k in range(n_h + 1):
+                assert_relative(
+                    [xray_moments(f, fr, n_h, q)[k] for fr in frames],
+                    [full_circle_sums(f, fr.rows, n, (n_h, k))
+                     for fr in frames])
+                assert_relative(
+                    moment_chart_field(f, n_h, q)(X)[..., k],
+                    full_circle_sums(f, chart_frame_rows(X), n, (n_h, k)))
+
+
+def test_equivariance_residual_equals_the_full_circle_rule():
+    # both sides are the same integral, so the residual is rounding of the
+    # transform values: compare it against them
+    q = QuadratureSpec(64)
+    frames = moved_frames(5, 25)
+    rows = np.array([frame.rows for frame in frames])
+    g = random_sl4(np.random.default_rng(26))
+    moved = np.einsum("ij,fkj->fki", g, rows)
+    for h in harmonic_basis(2)[:3]:
+        f = basis_to_degree_minus_2(h)
+        lhs = full_circle_sums(lambda x: f(x @ g.T), rows, 64)
+        rhs = full_circle_sums(f, moved, 64)
+        want = np.max(np.abs(lhs - rhs))
+        got = equivariance_residual(f, g, frames, q)
+        assert abs(got - want) <= 1e-13 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("n", [6, 128])
+def test_contour_transforms_equal_the_full_circle_rule(n):
+    q = QuadratureSpec(n)
+    state = elementary_state(A_COV, B_COV)
+    # pole-safe frames on which the transform is not identically zero
+    frames = [fr for fr in moved_frames(40, 27) if pole_safety(state, fr).ok
+              and len(set(factor_orientation(state, fr))) == 2]
+    assert len(frames) >= 5
+    assert_relative([contour_transform(state, fr, q) for fr in frames],
+                    [full_circle_sums(state, fr.rows, n) for fr in frames])
+    X = np.array([chart_from_plane(fr) for fr in frames])
+    assert_relative(contour_chart_field(state, q)(X),
+                    full_circle_sums(state, chart_frame_rows(X), n))
+
+
+def test_odd_node_counts_keep_every_node():
+    q = QuadratureSpec(129)
+    theta = np.arange(129) * (2.0 * np.pi / 129)
+    assert np.array_equal(q.cos, np.cos(theta))
+    assert np.array_equal(q.sin, np.sin(theta))
+    assert q.weight == 2.0 * np.pi / 129
+    assert circle_points(Frame(E[0], E[1]).rows, QuadratureSpec(5)).shape == (5, 4)
+    f = basis_to_degree_minus_2(harmonic_basis(2)[4])
+    frames = moved_frames(4, 28)
+    assert_relative([xray_transform(f, fr, q) for fr in frames],
+                    [full_circle_sums(f, fr.rows, 129) for fr in frames])
+
+
+def test_degree_minus_3_is_refused_at_every_entry_point():
+    # x1 |x|^-4 is odd under x -> -x: its full-circle rule reads 0, half
+    # the circle does not, so it must never reach the spec's nodes
+    odd = HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4)
+    frame = Frame(E[0] + 0.3 * E[2], E[1])
+    q = QuadratureSpec(16)
+    assert abs(full_circle_sums(odd, frame.rows, 16)) < 1e-14
+    assert abs(circle_integral(odd(circle_points(frame.rows, q)), q)) > 0.5
+    state = TwistorRationalFunction(((A_COV, -1), (B_COV, -2)))
+    assert state.degree == -3
+    X = np.zeros((2, 2))
+    # at helicity 1 degree -3 is the right degree, and cos f, sin f are even
+    calls = [
+        lambda: xray_transform(odd, frame, q),
+        lambda: design_matrix([odd], [frame], q),
+        lambda: xray_chart_field(odd, q),
+        lambda: xray_moments(odd, frame, 0, q),
+        lambda: xray_moments(odd, frame, 2, q),
+        lambda: moment_chart_field(odd, 0, q),
+        lambda: moment_chart_field(odd, 2, q),
+        lambda: equivariance_residual(odd, np.eye(4), [frame], q),
+        lambda: contour_transform(state, frame, q),
+        lambda: contour_chart_field(state, q),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="degree"):
+            call()
+    assert np.all(np.isfinite(xray_moments(odd, frame, 1, q)))
+    assert moment_chart_field(odd, 1, q)(X).shape == (2,)
