@@ -309,7 +309,9 @@ def full_circle_sums(f, rows, n, moment=None):
     f cos^(n_h - k) sin^k."""
     theta = np.arange(n) * (2.0 * np.pi / n)
     c, s = np.cos(theta), np.sin(theta)
-    w = 1.0 if moment is None else c ** (moment[0] - moment[1]) * s ** moment[1]
+    w = 1.0
+    if moment is not None:
+        w = c ** (moment[0] - moment[1]) * s ** moment[1]
     rows = np.asarray(rows)
     sums = [np.sum(f(np.outer(c, u) + np.outer(s, v)) * w) * (2.0 * np.pi / n)
             for u, v in rows.reshape(-1, 2, 4)]
@@ -404,7 +406,8 @@ def test_odd_node_counts_keep_every_node():
     assert np.array_equal(q.cos, np.cos(theta))
     assert np.array_equal(q.sin, np.sin(theta))
     assert q.weight == 2.0 * np.pi / 129
-    assert circle_points(Frame(E[0], E[1]).rows, QuadratureSpec(5)).shape == (5, 4)
+    five = circle_points(Frame(E[0], E[1]).rows, QuadratureSpec(5))
+    assert five.shape == (5, 4)
     f = basis_to_degree_minus_2(harmonic_basis(2)[4])
     frames = moved_frames(4, 28)
     assert_relative([xray_transform(f, fr, q) for fr in frames],
