@@ -175,8 +175,9 @@ def _john_anchor(points):
 
 
 def _basis_dimension(cfg, size):
-    """|size - sum over even k <= max_degree of (k+1)^2|: a basis of
-    another size fits some other span, however well it is conditioned."""
+    """The basis_dimension check, |size - sum over even k <= max_degree of
+    (k+1)^2|: a basis of another size spans another space, on which
+    rank_defect and reconstruction can pass as well."""
     return _record("basis_dimension", abs(size - sum(
         (k + 1) ** 2 for k in range(0, cfg["max_degree"] + 1, 2))))
 
