@@ -6,8 +6,8 @@ Report, and exits 0 when every check passes, 1 on check failure, and 2 on
 usage or configuration errors.  Reports are deterministic for a fixed seed
 up to the timestamp field.
 
-The suites are the catalogue of checks; the acceptance tests run them at
-pinned seeds.
+The suites are the only catalogue of checks: the acceptance tests run
+them at pinned seeds and compute no check of their own.
 
 Configuration is a JSON object (see CONFIG_SCHEMA); a --config file is
 merged under the command-line flags.  Each schema key `foo_bar` but
@@ -184,6 +184,14 @@ def _basis_dimension(cfg, size):
 
 # ---- suites ----------------------------------------------------------------
 
+def _diagonal_witness(X):
+    """A non-solution of John's equation: its John operator is
+    2 - 0.4 exp(0.4 X11) sin(X22), far from 0 near the origin."""
+    return (np.exp(0.4 * X[..., 0, 0]) * np.cos(X[..., 1, 1])
+            + X[..., 0, 1] ** 3 - 2.0 * X[..., 0, 1] * X[..., 1, 0]
+            + X[..., 1, 0] ** 2)
+
+
 def _suite_verify_john(cfg):
     rng = np.random.default_rng(cfg["seed"])
     q = xray.QuadratureSpec(cfg["nodes"])
@@ -192,11 +200,30 @@ def _suite_verify_john(cfg):
         residuals = []
         for h in fields.harmonic_basis(k):
             phi = xray.xray_chart_field(fields.basis_to_degree_minus_2(h), q)
+            if k == 0:
+                phi0 = phi
             residuals += [abs(operators.john_operator(phi, X))
                           for X in _chart_points(rng, 10)]
         checks.append(_record(f"john:deg{k}", worst_residual(residuals)))
     checks.append(_record("john:anchor",
                           _john_anchor(_chart_points(rng, 5))))
+
+    # phi0 is the transform of |x|^-2, 2 pi / sqrt(det Gram): a value, which
+    # sees the quadrature error that no residual of a solution sees
+    points = np.array(_chart_points(rng, 20, scale=0.5))
+    rows = geometry.chart_frame_rows(points)
+    gram = np.linalg.det(rows @ rows.swapaxes(-1, -2))
+    checks.append(_record("xray_value:deg0", worst_residual(
+        np.abs(phi0(points) - 2 * np.pi / np.sqrt(gram)))))
+
+    # John's operator is a quarter of box_diag, another stencil, in the
+    # diagonal coordinates
+    pulled_back = lambda x: _diagonal_witness(operators.diag_to_chart(x))
+    checks.append(_record("john:diagonal", worst_residual(
+        abs(operators.john_operator(_diagonal_witness, X)
+            - 0.25 * operators.box_diag(pulled_back,
+                                        operators.chart_to_diag(X)))
+        for X in _chart_points(rng, 10, scale=0.6))))
     return checks
 
 
@@ -423,6 +450,7 @@ def _suite_penrose_elementary(cfg):
 def _suite_geometry_roundtrip(cfg):
     rng = np.random.default_rng(cfg["seed"])
     roundtrip = []
+    klein = []
     worst_orient = 0.0
     for _ in range(100):
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -440,8 +468,11 @@ def _suite_geometry_roundtrip(cfg):
         conj_sign = plane.orientation_sign(geometry.pi_project(z.conj()))
         if sign < 0 or conj_sign > 0:
             worst_orient = 1.0
+        # every plane's Pluecker vector lies on the Klein quadric
+        klein.append(geometry.quadric_residual(geometry.plucker_embed(plane)))
     return [_record("geometry_roundtrip", worst_residual(roundtrip)),
-            _record("geometry_roundtrip:orientation", worst_orient)]
+            _record("geometry_roundtrip:orientation", worst_orient),
+            _record("geometry_roundtrip:klein_quadric", worst_residual(klein))]
 
 
 def _suite_reconstruct(cfg):

@@ -45,6 +45,7 @@ TOLERANCES = {
     "penrose_ratio_spread": 1e-8,
     "penrose_john": 1e-6,
     "geometry_roundtrip": 1e-12,
+    "xray_value": 1e-10,
 }
 
 # The tolerances of the finite-difference checks (john, moments,

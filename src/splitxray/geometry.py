@@ -83,11 +83,6 @@ class Frame:
         return Frame(g[0, 0] * self.u + g[1, 0] * self.v,
                      g[0, 1] * self.u + g[1, 1] * self.v)
 
-    def ambient_transform(self, g):
-        """Left action of an invertible 4x4 matrix on both frame vectors."""
-        g = np.asarray(g, dtype=float)
-        return Frame(g @ self.u, g @ self.v)
-
     def orientation_sign(self, other):
         """+1 / -1 depending on whether `other` spans the same plane with the
         same / opposite orientation; raises if the planes differ."""

@@ -205,15 +205,13 @@ def _parse_monomial(text):
 def connection_preset(name: str) -> Connection:
     """Named connections.
 
-    zero, flagship-u1 (i(x1 dx2 + x3 dx4), self-dual), asd-u1
-    (i(x1 dx2 - x3 dx4), anti-self-dual), pure-gauge(chi) for a monomial
-    phase chi (default x1), su2-constant.  The instanton suites check
-    flagship-u1 only; no configuration chooses a preset.
+    flagship-u1 (i(x1 dx2 + x3 dx4), self-dual), asd-u1 (i(x1 dx2 - x3 dx4),
+    anti-self-dual), pure-gauge(chi) for a monomial phase chi (default x1),
+    su2-constant.  The instanton suites check flagship-u1 only; no
+    configuration chooses a preset.
     """
     zero1 = np.array([[Poly4.zero()]], dtype=object)
 
-    if name == "zero":
-        return Connection.from_polynomials([zero1] * 4, name=name)
     if name == "flagship-u1":
         a2 = np.array([[Poly4.monomial((1, 0, 0, 0), 1j)]], dtype=object)
         a4 = np.array([[Poly4.monomial((0, 0, 1, 0), 1j)]], dtype=object)

@@ -210,8 +210,8 @@ def equivariance_residual(f: HomogeneousFunction, g, frames,
     if g.shape != (4, 4) or np.linalg.det(g) == 0.0:
         raise ValueError("g must be an invertible 4x4 matrix")
     rows = np.array([frame.rows for frame in frames]).reshape(-1, 2, 4)
-    # one matrix-vector product per vector, as in Frame.ambient_transform, so
-    # the moved frames equal its frames bit for bit
+    # one matrix-vector product per vector, so the moved frames equal
+    # Frame(g @ u, g @ v) bit for bit
     moved = np.array([[g @ u, g @ v] for u, v in rows]).reshape(-1, 2, 4)
     check_frames(moved)
     fg = f(circle_points(rows, q) @ g.T)

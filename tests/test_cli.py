@@ -178,6 +178,22 @@ def test_penrose_elementary_passes_at_formerly_failing_seeds(seed):
     assert report.overall, [(c.name, c.value) for c in report.checks]
 
 
+def test_john_diagonal_compares_the_operators_on_a_non_solution(monkeypatch):
+    # where the witness solved John's equation, both sides of the check
+    # would be near 0 and an operator at any scale would pass
+    real, values = operators.john_operator, []
+
+    def john(phi, X):
+        value = real(phi, X)
+        if phi is cli._diagonal_witness:
+            values.append(value)
+        return value
+
+    monkeypatch.setattr(operators, "john_operator", john)
+    assert run({"command": "verify-john"}).overall
+    assert len(values) == 10 and min(map(abs, values)) >= 1.0
+
+
 def test_defaults_table_is_consistent():
     assert DEFAULTS["nodes"] == 128
     assert FD_STEP == 1e-3
@@ -334,10 +350,11 @@ REFUSED_EDGES = [
 ACCEPTED_EDGES = [
     ("verify-coupled-box", "--seed", "0", 0),
     ("reconstruct", "--max-degree", "0", 0),
-    # Four nodes.  verify-john and verify-moments still pass, since each
-    # node's term satisfies their identity by itself, and so do injectivity
-    # and reconstruct.  The weight law sees the quadrature error, and
+    # Four nodes.  verify-moments still passes, since each node's term
+    # satisfies its identity by itself, and so do injectivity and reconstruct.
+    # xray_value:deg0 and the weight law see the quadrature error, and
     # penrose finds no frame whose strip is wide enough for four nodes.
+    ("verify-john", "--nodes", "4", 1),
     ("verify-weight-law", "--nodes", "4", 1),
     ("penrose-elementary", "--nodes", "4", 2),
 ]

@@ -150,12 +150,14 @@ def test_asd_residual_value():
 
 
 def test_zero_connection_residual():
-    assert selfdual_residual(connection_preset("zero"), sample_points(5)) == 0.0
+    zero = lambda x: np.zeros((1, 1))
+    conn = Connection(1, [zero] * 4, [[zero] * 4] * 4)
+    assert selfdual_residual(conn, sample_points(5)) == 0.0
 
 
 def test_antihermitian_presets():
     x = np.array([0.2, -0.4, 0.7, 0.1])
-    for name in ("zero", "flagship-u1", "asd-u1", "pure-gauge"):
+    for name in ("flagship-u1", "asd-u1", "pure-gauge"):
         conn = connection_preset(name)
         for i in range(4):
             a = conn.coefficient(i, x)
@@ -193,7 +195,6 @@ def test_nonabelian_polynomial_curvature_matches_hand_computation():
 # ---- gauge transformations --------------------------------------------------------
 
 def test_constant_gauge_fixes_zero_connection():
-    conn = connection_preset("zero")
     g = constant_gauge(np.array([[0.0, 1.0], [1.0, 0.0]]) + 0.5j * np.eye(2))
     # rank mismatch guard: constant gauge must match the bundle rank
     zero = lambda x: np.zeros((2, 2))
@@ -205,9 +206,10 @@ def test_constant_gauge_fixes_zero_connection():
 
 def test_scalar_phase_pure_gauge():
     # A = 0 moved by g = exp(i chi) gives -i d chi, still flat
-    zero = connection_preset("zero")
+    zero = lambda x: np.zeros((1, 1))
     chi = Poly4.monomial((1, 0, 0, 0))
-    moved = gauge_transform(zero, scalar_phase(chi))
+    moved = gauge_transform(Connection(1, [zero] * 4, [[zero] * 4] * 4),
+                            scalar_phase(chi))
     x = np.array([0.7, 0.2, -0.1, 0.4])
     assert_allclose(moved.coefficient(0, x), [[-1j]], atol=1e-14)
     for i in (1, 2, 3):

@@ -118,6 +118,8 @@ MUTANTS = {
     "basis-two-degrees-up": (
         inversion, "transform_basis",
         lambda real: lambda max_degree: real(max_degree + 2)),
+    "diag-to-chart-doubled": (operators, "diag_to_chart",
+                              lambda real: lambda x: 2.0 * real(x)),
 }
 
 # (mutant, suite) pairs, each run once
@@ -149,6 +151,7 @@ PAIRS = [
     ("quadrature-4-nodes", "reconstruct"),
     ("basis-two-degrees-up", "injectivity"),
     ("basis-two-degrees-up", "reconstruct"),
+    ("diag-to-chart-doubled", "verify-john"),
 ]
 
 # The pairs of PAIRS whose suite passes with the mutant in place.
@@ -164,9 +167,8 @@ SURVIVORS = {
     ("xray-times-1.5", "injectivity"),
     ("design-column-bias", "reconstruct"),
     ("design-row-shift", "reconstruct"),
-    # each node's term satisfies the John and moment identities by itself,
-    # and the design-matrix suites see no transform value
-    ("quadrature-4-nodes", "verify-john"),
+    # each node's term satisfies the moment identities by itself, and the
+    # design-matrix suites see no transform value
     ("quadrature-4-nodes", "verify-moments"),
     ("quadrature-4-nodes", "injectivity"),
     ("quadrature-4-nodes", "reconstruct"),

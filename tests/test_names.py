@@ -9,9 +9,7 @@ import splitxray
 
 # Read only by tests, as per-call references or in tests of their own, and
 # for run and xray_moments by the benchmark.
-REFERENCE_ONLY = {"run", "xray_moments", "ambient_transform", "box_diag",
-                  "chart_to_diag", "diag_to_chart", "quadric_residual",
-                  "constant_gauge"}
+REFERENCE_ONLY = {"run", "xray_moments", "constant_gauge"}
 
 
 def _owner(node):

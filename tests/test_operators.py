@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 from splitxray.fields import (HomogeneousFunction, basis_to_degree_minus_2,
                               harmonic_basis)
-from splitxray.geometry import plane_from_chart
-from splitxray.instanton import connection_preset, gauge_transform, scalar_phase
+from splitxray.geometry import Frame, plane_from_chart
+from splitxray.instanton import (Connection, connection_preset,
+                                 gauge_transform, scalar_phase)
 from splitxray.inversion import sample_frames
 from splitxray.operators import (box_diag, chart_to_diag, coupled_box,
                                  diag_to_chart, dn_residual, john_operator,
@@ -145,9 +146,10 @@ def test_coupled_box_flat_reduction_is_exact():
     x0 = np.array([0.7, 0.1, -0.4, 0.2])
     psi = lambda x: x[0] ** 2 + 0.0j
     psi_vec = lambda x: np.array([x[0] ** 2 + 0.0j])
-    zero = connection_preset("zero")
+    zero = lambda x: np.zeros((1, 1))
     flat = box_diag(psi, x0, H)
-    coupled = coupled_box(zero, psi_vec, x0, H)
+    coupled = coupled_box(Connection(1, [zero] * 4, [[zero] * 4] * 4), psi_vec,
+                          x0, H)
     assert flat == coupled[0]
     assert abs(flat - 2.0) < 1e-9
     # the float path agrees up to the dtype of the section values
@@ -242,13 +244,14 @@ def test_dn_residual_rejects_n_zero():
 @pytest.mark.parametrize("h", [0.0, -1e-3])
 def test_nonpositive_step_is_refused(h):
     psi = lambda x: np.array([x[0] ** 2 + 0.0j])
+    zero = lambda x: np.zeros((1, 1))
+    conn = Connection(1, [zero] * 4, [[zero] * 4] * 4)
     m = moment_chart_field(
         HomogeneousFunction(Poly4.monomial((1, 0, 0, 0)), -4), 1)
     for apply in (lambda: john_operator(np.linalg.det, np.zeros((2, 2)), h),
                   lambda: dn_residual(m, np.zeros((2, 2)), h),
                   lambda: box_diag(psi, np.zeros(4), h),
-                  lambda: coupled_box(connection_preset("zero"), psi,
-                                      np.zeros(4), h)):
+                  lambda: coupled_box(conn, psi, np.zeros(4), h)):
         with pytest.raises(ValueError, match="positive"):
             apply()
 
@@ -336,10 +339,11 @@ def test_batched_equivariance_equals_per_frame_loop():
     for h in harmonic_basis(2)[:4]:
         f = basis_to_degree_minus_2(h)
         g = random_sl4(rng)
+        moved = [Frame(g @ frame.u, g @ frame.v) for frame in frames]
         # R(f o g) on one frame: f at its circle points moved by g
         expected = max(abs(circle_integral(f(circle_points(frame.rows, q) @ g.T), q)
-                           - xray_transform(f, frame.ambient_transform(g), q))
-                       for frame in frames)
+                           - xray_transform(f, frame_g, q))
+                       for frame, frame_g in zip(frames, moved))
         assert equivariance_residual(f, g, frames, q) == expected
 
 
