@@ -13,7 +13,8 @@ from .instanton import (Connection, GaugeMap, connection_preset,
                         scalar_phase, selfdual_residual, two_form_norm)
 from .inversion import (DesignMatrix, InjectivityReport, ReconstructionReport,
                         design_matrix, injectivity_report, reconstruct,
-                        sample_frames, save_design_matrix, transform_basis)
+                        sample_frames, sampled_design, save_design_matrix,
+                        transform_basis)
 from .operators import (box_diag, chart_to_diag, coupled_box, diag_to_chart,
                         dn_residual, john_operator)
 from .penrose import (PoleProximityError, PoleSafetyReport,

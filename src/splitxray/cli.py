@@ -288,6 +288,13 @@ def _suite_verify_selfdual(cfg):
     points = _instanton_points(rng)
     checks = [_record(f"selfdual:{conn.name}",
                       instanton.selfdual_residual(conn, points))]
+    # controls with closed-form norms ||*F - F||: the constant su(2)
+    # connection (E, F, 0, 0) has F12 = [E, F] = H, from the commutator
+    # alone, and asd-u1 is anti-self-dual with F = -*F
+    for name, norm in (("su2-constant", 2.0), ("asd-u1", 2.0 * math.sqrt(2))):
+        control = instanton.connection_preset(name)
+        checks.append(_record(f"selfdual:{name}-anchor", abs(
+            instanton.selfdual_residual(control, points) - norm)))
     residuals = []
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
         F = np.zeros((4, 4, 1, 1), dtype=complex)
@@ -475,43 +482,45 @@ def _suite_geometry_roundtrip(cfg):
             _record("geometry_roundtrip:klein_quadric", worst_residual(klein))]
 
 
+def _sampled(build, cfg):
+    """build(max_degree, n_frames, seed, q) at the configuration; a refused
+    precondition exits 2."""
+    try:
+        return build(cfg["max_degree"], cfg["n_frames"], cfg["seed"],
+                     xray.QuadratureSpec(cfg["nodes"]))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def _suite_reconstruct(cfg):
     if cfg["save_design"]:
         _check_writable(cfg["save_design"], "the design matrix")
-    q = xray.QuadratureSpec(cfg["nodes"])
-    basis = inversion.transform_basis(cfg["max_degree"])
-    if cfg["n_frames"] < len(basis):
-        raise ConfigError(
-            f"reconstruction at max_degree {cfg['max_degree']} needs at "
-            f"least {len(basis)} frames, got {cfg['n_frames']}")
-    frames = inversion.sample_frames(cfg["n_frames"], cfg["seed"])
-    d = inversion.design_matrix(basis, frames, q, seed=cfg["seed"])
+    d = _sampled(inversion.sampled_design, cfg)
     if cfg["save_design"]:
         try:
             inversion.save_design_matrix(d, cfg["save_design"])
         except OSError as e:
             raise ConfigError(f"cannot write the design matrix: {e}") from e
-    dimension = _basis_dimension(cfg, len(basis))
     rng = np.random.default_rng(cfg["seed"] + 1)
-    errors = []
-    for _ in range(3):
-        c = rng.normal(size=len(basis))
-        samples = d.matrix @ c
-        try:
-            report = inversion.reconstruct(samples, d, true_coefficients=c)
-        except inversion.RankDeficientError:
-            return [dimension, _record("reconstruction", math.inf)]
-        errors.append(report.relative_coefficient_error)
-    return [dimension, _record("reconstruction", worst_residual(errors))]
+    c = rng.normal(size=(3, d.shape[1]))
+    # the anchor solves for c1 + delta against the truth c1, so it must
+    # report the planted relative error |delta| / |c1|
+    delta = 1e-3 * rng.normal(size=d.shape[1])
+    planted = np.linalg.norm(delta) / np.linalg.norm(c[0])
+    samples = d.matrix @ np.vstack([c, c[0] + delta]).T
+    try:
+        errors = inversion.reconstruct(
+            samples, d, np.vstack([c, c[0]]).T).relative_coefficient_error
+    except inversion.RankDeficientError:
+        errors = np.full(4, math.inf)
+    return [_basis_dimension(cfg, d.shape[1]),
+            _record("reconstruction", worst_residual(errors[:3])),
+            _record("reconstruction:anchor",
+                    abs(errors[3] - planted) / planted)]
 
 
 def _suite_injectivity(cfg):
-    q = xray.QuadratureSpec(cfg["nodes"])
-    try:
-        report = inversion.injectivity_report(cfg["max_degree"], cfg["n_frames"],
-                                              cfg["seed"], q)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    report = _sampled(inversion.injectivity_report, cfg)
     return [_basis_dimension(cfg, report.dimension),
             _record("rank_defect", float(report.dimension - report.rank))]
 

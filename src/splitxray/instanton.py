@@ -207,8 +207,9 @@ def connection_preset(name: str) -> Connection:
 
     flagship-u1 (i(x1 dx2 + x3 dx4), self-dual), asd-u1 (i(x1 dx2 - x3 dx4),
     anti-self-dual), pure-gauge(chi) for a monomial phase chi (default x1),
-    su2-constant.  The instanton suites check flagship-u1 only; no
-    configuration chooses a preset.
+    su2-constant.  The instanton suites check flagship-u1, and
+    verify-selfdual reads su2-constant and asd-u1 as closed-form controls;
+    no configuration chooses a preset.
     """
     zero1 = np.array([[Poly4.zero()]], dtype=object)
 

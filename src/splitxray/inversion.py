@@ -5,6 +5,11 @@ frames; full column rank witnesses injectivity on the span, and a least
 squares solve recovers coefficients from transform samples.  Frames are
 drawn from the invariant measure by orthonormalizing seeded Gaussian
 4-vectors, which avoids chart-concentration bias.
+
+Each design matrix is factored once: injectivity_report reads its rank
+from one values-only SVD and reports it with the basis size; reconstruct
+reads its rank, refusal and solutions from one thin SVD and reports the
+coefficients with each column's relative error.
 """
 
 from __future__ import annotations
@@ -45,17 +50,13 @@ class DesignMatrix:
 @dataclass
 class ReconstructionReport:
     coefficients: np.ndarray
-    rank: int
-    condition: float
-    relative_coefficient_error: Optional[float] = None
+    relative_coefficient_error: Optional[np.ndarray] = None
 
 
 @dataclass
 class InjectivityReport:
     rank: int
     dimension: int
-    condition: float
-    per_degree_min_singular: dict
 
 
 def design_matrix(basis, frames, q: QuadratureSpec = QuadratureSpec(),
@@ -76,45 +77,35 @@ def design_matrix(basis, frames, q: QuadratureSpec = QuadratureSpec(),
                         n_nodes=q.n_nodes, seed=seed)
 
 
-def _rank_and_condition(m):
-    s = np.linalg.svd(m, compute_uv=False)
-    cutoff = RANK_RTOL * s[0]
-    rank = int(np.sum(s > cutoff))
-    kept = s[s > cutoff]
-    cond = float(kept[0] / kept[-1]) if kept.size else np.inf
-    return rank, cond, s
-
-
 def reconstruct(samples, d: DesignMatrix,
                 true_coefficients=None) -> ReconstructionReport:
-    """Least-squares coefficients explaining the transform samples.
+    """Least-squares coefficients explaining transform samples of shape
+    (rows,) or, k columns at once, (rows, k).
 
-    Requires at least as many frames as basis functions and full column
-    rank; on rank deficiency it raises RankDeficientError, which names the
-    offending null combination of basis functions.  When the true
-    coefficient vector is known it can be passed in to have the relative
-    error reported.
+    One thin SVD gives the rank and every solution.  A rank-deficient
+    matrix, fewer frames than basis functions included, raises
+    RankDeficientError naming a null combination of basis functions.
+    Given the true coefficients, the report holds each column's relative
+    error.
     """
     samples = np.asarray(samples, dtype=float)
     rows, cols = d.shape
-    if samples.shape != (rows,):
+    if samples.shape[:1] != (rows,) or samples.ndim > 2:
         raise ValueError(f"expected {rows} samples, got {samples.shape}")
-    if rows < cols:
-        raise ValueError(f"need at least {cols} frames, got {rows}")
-    rank, cond, s = _rank_and_condition(d.matrix)
-    if rank < cols:
-        _, _, vt = np.linalg.svd(d.matrix)
-        null = vt[-1]
-        terms = [f"{c:+.3f}*{name}" for c, name in zip(null, d.basis_ids)
+    # with rows < cols only the full factorization keeps a null row in vt
+    u, s, vt = np.linalg.svd(d.matrix, full_matrices=rows < cols)
+    if np.sum(s > RANK_RTOL * s[0]) < cols:
+        terms = [f"{c:+.3f}*{name}" for c, name in zip(vt[-1], d.basis_ids)
                  if abs(c) > 1e-6]
         raise RankDeficientError("design matrix is rank deficient; null "
                                  "combination " + " ".join(terms))
-    coeff, *_ = np.linalg.lstsq(d.matrix, samples, rcond=None)
+    coeff = vt.T @ ((u / s).T @ samples)
     rel = None
     if true_coefficients is not None:
         truth = np.asarray(true_coefficients, dtype=float)
-        rel = float(np.linalg.norm(coeff - truth) / np.linalg.norm(truth))
-    return ReconstructionReport(coefficients=coeff, rank=rank, condition=cond,
+        rel = (np.linalg.norm(coeff - truth, axis=0)
+               / np.linalg.norm(truth, axis=0))
+    return ReconstructionReport(coefficients=coeff,
                                 relative_coefficient_error=rel)
 
 
@@ -141,29 +132,27 @@ def transform_basis(max_degree):
             for i, h in enumerate(harmonic_basis(k))]
 
 
+def sampled_design(max_degree, n_frames, seed,
+                   q: QuadratureSpec = QuadratureSpec()) -> DesignMatrix:
+    """The design matrix of transform_basis(max_degree), of size sum over
+    even k <= max_degree of (k+1)^2, on sample_frames(n_frames, seed);
+    n_frames must reach that size."""
+    basis = transform_basis(max_degree)
+    if n_frames < len(basis):
+        raise ValueError(
+            f"the basis at max_degree {max_degree} needs at least "
+            f"{len(basis)} frames, got {n_frames}")
+    return design_matrix(basis, sample_frames(n_frames, seed), q, seed=seed)
+
+
 def injectivity_report(max_degree, n_frames, seed,
                        q: QuadratureSpec = QuadratureSpec()) -> InjectivityReport:
-    """Rank and conditioning of the transform on the even-degree span.
-
-    The span of H |x|^(-k-2) over even k <= max_degree has dimension
-    sum (k+1)^2; n_frames must reach it.
-    """
-    basis = transform_basis(max_degree)
-    dimension = len(basis)
-    if n_frames < dimension:
-        raise ValueError(
-            f"injectivity at max_degree {max_degree} needs at least "
-            f"{dimension} frames, got {n_frames}")
-    frames = sample_frames(n_frames, seed)
-    d = design_matrix(basis, frames, q, seed=seed)
-    rank, cond, _ = _rank_and_condition(d.matrix)
-    degrees = np.array([f.poly.degree for f in basis])
-    per_degree = {}
-    for k in range(0, max_degree + 1, 2):
-        s = np.linalg.svd(d.matrix[:, degrees == k], compute_uv=False)
-        per_degree[k] = float(s[-1])
-    return InjectivityReport(rank=rank, dimension=dimension, condition=cond,
-                             per_degree_min_singular=per_degree)
+    """Rank of the transform on the even-degree span, from one values-only
+    SVD of sampled_design's matrix."""
+    d = sampled_design(max_degree, n_frames, seed, q)
+    s = np.linalg.svd(d.matrix, compute_uv=False)
+    return InjectivityReport(rank=int(np.sum(s > RANK_RTOL * s[0])),
+                             dimension=d.shape[1])
 
 
 def save_design_matrix(d: DesignMatrix, path):

@@ -60,12 +60,14 @@ def test_criterion_05_moment_consistency():
 
 def test_criterion_06_bijectivity_witness():
     run_suite("6a", "injectivity", 106, ["basis_dimension", "rank_defect"])
-    run_suite("6b", "reconstruct", 106, ["basis_dimension", "reconstruction"])
+    run_suite("6b", "reconstruct", 106,
+              ["basis_dimension", "reconstruction", "reconstruction:anchor"])
 
 
 def test_criterion_07_split_instanton():
     run_suite("7a/b", "verify-selfdual", 107,
-              ["selfdual:flagship-u1", "star_involution"])
+              ["selfdual:flagship-u1", "selfdual:su2-constant-anchor",
+               "selfdual:asd-u1-anchor", "star_involution"])
     run_suite("7c", "verify-gauge", 107, ["gauge_invariance:flagship-u1"])
     run_suite("7d/e", "verify-coupled-box", 107,
               ["coupled_box:hand-value", "gauge_covariance"])

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from splitxray import cli, inversion, operators, penrose, xray
@@ -27,7 +28,8 @@ def test_pass_exit_code_and_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["overall"] is True
     assert {c["name"] for c in payload["checks"]} == {
-        "selfdual:flagship-u1", "star_involution"}
+        "selfdual:flagship-u1", "selfdual:su2-constant-anchor",
+        "selfdual:asd-u1-anchor", "star_involution"}
     for c in payload["checks"]:
         assert set(c) == {"name", "value", "tolerance", "passed"}
 
@@ -279,6 +281,24 @@ def test_environment_records_the_nodes_that_ran(monkeypatch, command, nodes):
                   "n_frames": 12})
     assert set(built) == {nodes}
     assert report.environment["nodes"] == nodes
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "injectivity"])
+def test_each_design_matrix_suite_factors_its_matrix_once(monkeypatch,
+                                                          command):
+    # every Frame runs an SVD of its own (2, 4) rows, so count the calls on
+    # a matrix with a row per sampled frame; reconstruct solves its stack of
+    # samples from the same SVD, without lstsq
+    calls = []
+    for name in ("svd", "lstsq"):
+        def spy(a, *args, name=name, real=getattr(np.linalg, name), **kw):
+            calls.append((name, np.shape(a)[0]))
+            return real(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, spy)
+    run({"command": command})
+    n_frames = DEFAULTS["n_frames"]
+    assert calls.count(("svd", n_frames)) == 1
+    assert [call for call in calls if call[0] == "lstsq"] == []
 
 
 def test_every_default_is_read_by_some_suite(default_runs):

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 from splitxray.fields import (HomogeneousFunction, basis_to_degree_minus_2,
                               harmonic_basis)
 from splitxray.geometry import Frame
-from splitxray.inversion import (design_matrix, injectivity_report,
-                                 reconstruct, sample_frames,
-                                 save_design_matrix, transform_basis)
+from splitxray.inversion import (RankDeficientError, design_matrix,
+                                 injectivity_report, reconstruct,
+                                 sample_frames, save_design_matrix,
+                                 transform_basis)
 from splitxray.poly import Poly4
 from splitxray.xray import QuadratureSpec
 
@@ -91,8 +92,6 @@ def test_reconstruct_known_coefficients():
     c = rng.normal(size=len(basis))
     report = reconstruct(d.matrix @ c, d)
     assert np.linalg.norm(report.coefficients - c) / np.linalg.norm(c) < 1e-8
-    assert report.rank == len(basis)
-    assert np.isfinite(report.condition)
 
 
 def test_reconstruct_matches_reference_solver():
@@ -142,10 +141,33 @@ def test_reconstruct_reports_relative_error_when_truth_given():
 
 
 def test_underdetermined_rejected():
+    # 5 frames cannot determine 10 coefficients; the refusal names a true
+    # null combination
     basis = transform_basis(2)
     d = design_matrix(basis, sample_frames(5, 8))
-    with pytest.raises(ValueError, match="at least 10 frames"):
+    with pytest.raises(RankDeficientError, match="rank deficient") as err:
         reconstruct(np.zeros(5), d)
+    terms = str(err.value).split("combination ")[1].split()
+    null = np.zeros(len(basis))
+    for term in terms:
+        coeff, name = term.split("*")
+        null[d.basis_ids.index(name)] = float(coeff)
+    assert np.linalg.norm(d.matrix @ null) < 1e-2 * np.linalg.norm(d.matrix)
+
+
+def test_reconstruct_solves_a_stack_of_samples_column_by_column():
+    basis = transform_basis(2)
+    d = design_matrix(basis, sample_frames(30, 19), Q128)
+    c = np.random.default_rng(20).normal(size=(len(basis), 3))
+    stacked = reconstruct(d.matrix @ c, d, c)
+    assert stacked.coefficients.shape == c.shape
+    assert stacked.relative_coefficient_error.shape == (3,)
+    for j in range(3):
+        single = reconstruct(d.matrix @ c[:, j], d, c[:, j])
+        assert_allclose(stacked.coefficients[:, j], single.coefficients,
+                        rtol=0, atol=1e-13)
+        assert abs(stacked.relative_coefficient_error[j]
+                   - single.relative_coefficient_error) < 1e-13
 
 
 # ---- injectivity -------------------------------------------------------------
@@ -163,9 +185,6 @@ def test_injectivity_degree_two():
 def test_injectivity_degree_four():
     report = injectivity_report(4, 120, 11, Q128)
     assert report.rank == 35 and report.dimension == 35
-    assert np.isfinite(report.condition)
-    assert set(report.per_degree_min_singular) == {0, 2, 4}
-    assert all(v > 0 for v in report.per_degree_min_singular.values())
 
 
 def test_injectivity_requires_enough_frames():

@@ -84,6 +84,18 @@ def _duplicate_column(m):
     return m
 
 
+def _error_times(reconstruct):
+    """reconstruct with the relative error |c - truth| * |truth|, where
+    the real one divides."""
+    def mutant(samples, d, true_coefficients):
+        report = reconstruct(samples, d, true_coefficients)
+        truth = np.asarray(true_coefficients, dtype=float)
+        error = (np.linalg.norm(report.coefficients - truth, axis=0)
+                 * np.linalg.norm(truth, axis=0))
+        return dataclasses.replace(report, relative_coefficient_error=error)
+    return mutant
+
+
 # name -> (module, attribute, make), where make(real) returns the mutant
 MUTANTS = {
     "john-plus": (operators, "john_operator",
@@ -120,6 +132,7 @@ MUTANTS = {
         lambda real: lambda max_degree: real(max_degree + 2)),
     "diag-to-chart-doubled": (operators, "diag_to_chart",
                               lambda real: lambda x: 2.0 * real(x)),
+    "reconstruct-error-times": (inversion, "reconstruct", _error_times),
 }
 
 # (mutant, suite) pairs, each run once
@@ -152,12 +165,12 @@ PAIRS = [
     ("basis-two-degrees-up", "injectivity"),
     ("basis-two-degrees-up", "reconstruct"),
     ("diag-to-chart-doubled", "verify-john"),
+    ("reconstruct-error-times", "reconstruct"),
 ]
 
 # The pairs of PAIRS whose suite passes with the mutant in place.
 SURVIVORS = {
-    # the only connection these suites check, flagship-u1, is abelian
-    ("curvature-no-commutator", "verify-selfdual"),
+    # the only connection this suite checks, flagship-u1, is abelian
     ("curvature-no-commutator", "verify-gauge"),
     # the weight law compares the transform with itself, and reconstruct
     # samples the same design matrix it solves with; injectivity asks only
@@ -250,5 +263,6 @@ def test_rank_deficient_reconstruct_fails_its_check(monkeypatch, capsys):
     assert "FAILED checks: reconstruction" in err
     checks = json.loads(out, parse_constant=_refuse_constant)["checks"]
     assert [(c["name"], c["value"], c["passed"]) for c in checks] == [
-        ("basis_dimension", 0.0, True), ("reconstruction", "inf", False)]
+        ("basis_dimension", 0.0, True), ("reconstruction", "inf", False),
+        ("reconstruction:anchor", "inf", False)]
     assert float(checks[1]["value"]) == math.inf
