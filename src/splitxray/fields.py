@@ -9,11 +9,11 @@ rational coefficients, so basis elements have an identically zero
 Laplacian coefficient table before any floats appear; a harmonic
 polynomial is evaluated through its `poly`.
 
-On a frozen point array (see poly.point_memo) the radial factors
-(x.x)**(power//2) are kept by power next to the polynomials' monomial
-tables, so the basis functions of a design matrix share one frame's.  A
-float64 ndarray is evaluated as it is; any other input is converted to one
-first, and complex points are refused.
+On a frozen point array (see poly.point_memo) x.x is kept once, and the
+radial factors (x.x)**(power//2) formed from it by power, next to the
+polynomials' monomial tables, so the basis functions of a design matrix
+share one frame's.  A float64 ndarray is evaluated as it is; any other
+input is converted to one first, and complex points are refused.
 """
 
 from __future__ import annotations
@@ -79,21 +79,24 @@ def _real_points(x):
 def _radial_factor(x, power):
     """(x.x) ** (power // 2) of points x; raise if any x.x is zero.
 
-    A frozen x (see poly.point_memo) keeps the factor of each power, stored
-    only once the origin was refused, so the basis functions of a design
-    matrix share one frame's radial factors and every call still refuses
-    the origin."""
+    A frozen x (see poly.point_memo) keeps x.x under ("radial", 2), stored
+    only once the origin was refused, and the factor of each power formed
+    from it, so x.x is computed once per frame, the basis functions of a
+    design matrix share the frame's radial factors and every call still
+    refuses the origin."""
     memo = point_memo(x)
-    if memo is not None:
-        factor = memo.get(("radial", power))
-        if factor is not None:
-            return factor
-    r2 = np.einsum("...i,...i->...", x, x)
-    if not r2.all():
-        raise ValueError("homogeneous functions are undefined at the origin")
-    factor = r2 ** (power // 2)
-    if memo is not None:
-        memo["radial", power] = factor
+    if memo is None:  # not frozen: nothing outlives this call
+        memo = {}
+    factor = memo.get(("radial", power))
+    if factor is None:
+        r2 = memo.get(("radial", 2))
+        if r2 is None:
+            r2 = np.einsum("...i,...i->...", x, x)
+            if not r2.all():
+                raise ValueError(
+                    "homogeneous functions are undefined at the origin")
+            memo["radial", 2] = r2
+        factor = memo["radial", power] = r2 ** (power // 2)
     return factor
 
 

@@ -106,7 +106,8 @@ def point_memo(x):
     array replaces it whole, so the memo holds one array's work at a time.
     Keys are tuples whose first item names the work: ("monomials", k) for
     the degree-k monomial table here and ("radial", power) for the radial
-    factors of fields.HomogeneousFunction.
+    factors (x.x)**(power//2) of fields.HomogeneousFunction, among them
+    ("radial", 2), x.x itself, from which the others are formed.
 
     `frozen` is checked at every lookup, so a writable array is never
     reused.  It cannot see an array that was made writable, changed and

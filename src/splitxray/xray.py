@@ -11,10 +11,10 @@ Every integrand in scope is pi-periodic in theta, since x -> -x leaves it
 unchanged (see require_degree), so at even n the n-node rule sums each
 value twice: a spec keeps the first n/2 nodes at twice the weight, and
 every transform evaluates its integrand on half the circle.  A
-QuadratureSpec computes the cos and sin of its nodes and its weight once,
-when it is built; a transform then costs the circle points, one
-evaluation of the integrand on them and one np.add.reduce times the
-weight.  Frames enter as rows, a Frame's read-only (2, 4) `rows` or a
+QuadratureSpec computes the cos and sin of its nodes and its weight
+vector once, when it is built; a transform then costs the circle points,
+one evaluation of the integrand on them and one dot of the values with
+the weights.  Frames enter as rows, a Frame's read-only (2, 4) `rows` or a
 (..., 2, 4) stack, and one gate, require_degree, checks the degree of
 every input.  xray_transform keeps the read-only circle points of the last
 (frame.rows, spec) it integrated, so a design matrix, which integrates
@@ -51,16 +51,16 @@ class QuadratureSpec:
     n-node rule equals its sum over the nodes theta_j = 2pi j/n in [0, pi)
     times 2pi/(n/2) when n is even, so the spec keeps only those n/2 nodes;
     at odd n no node pairs with another and it keeps all n, at weight
-    2pi/n.  The weight and the node columns cos and sin are computed once,
-    at construction, and the columns are read-only; every transform on this
-    spec reuses them.  n_nodes still names the n-node rule, whose accuracy
-    the spec has.
+    2pi/n.  The node columns cos and sin and the vector `weights`, that
+    weight at every kept node, are computed once, at construction, and are
+    read-only; every transform on this spec reuses them.  n_nodes still
+    names the n-node rule, whose accuracy the spec has.
     """
 
     n_nodes: int = DEFAULTS["nodes"]
     cos: np.ndarray = field(init=False, repr=False, compare=False)
     sin: np.ndarray = field(init=False, repr=False, compare=False)
-    weight: float = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_nodes", operator.index(self.n_nodes))
@@ -68,9 +68,9 @@ class QuadratureSpec:
             raise ValueError("quadrature needs at least 4 nodes")
         # theta_j + pi repeats theta_j at even n: keep the first half
         count = self.n_nodes // 2 if self.n_nodes % 2 == 0 else self.n_nodes
-        object.__setattr__(self, "weight", 2.0 * np.pi / count)
         theta = np.arange(count) * (2.0 * np.pi / self.n_nodes)
-        for name, column in (("cos", np.cos(theta)), ("sin", np.sin(theta))):
+        for name, column in (("cos", np.cos(theta)), ("sin", np.sin(theta)),
+                             ("weights", np.full(count, 2.0 * np.pi / count))):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -93,11 +93,20 @@ def circle_points(rows, q: QuadratureSpec):
 
 def circle_integral(values, q: QuadratureSpec):
     """Periodic trapezoid sum of values sampled at the spec's nodes along
-    the last axis, times its weight; shared by all transforms."""
+    the last axis: one dot with q.weights, shared by all transforms.
+
+    numpy computes the dot of one circle, and of each circle of a stack of
+    three or more axes, with BLAS ddot (zdotu for complex values), but hands
+    a 2-D stack to gemv, whose sums differ from ddot's in the last bits; a
+    2-D stack is viewed as (m, 1, n) so that every circle gets the bits it
+    gets alone.
+    """
     values = np.asarray(values)
-    if values.shape[-1:] != (len(q.cos),):
+    if values.shape[-1:] != q.weights.shape:
         raise ValueError("value count does not match the quadrature spec")
-    return np.add.reduce(values, -1) * q.weight
+    if values.ndim == 2:
+        return values[:, None].dot(q.weights)[:, 0]
+    return values.dot(q.weights)
 
 
 def require_degree(f, n=0):
@@ -118,26 +127,23 @@ def require_degree(f, n=0):
 _circle = (None, None, None)
 
 
-def _frame_circle(frame: Frame, q: QuadratureSpec):
-    """circle_points(frame.rows, q), read-only, reused from the last call
-    while the frame's rows are the same frozen array and q the same spec."""
-    global _circle
-    rows = frame.rows
-    last_rows, last_q, points = _circle
-    if last_rows is rows and last_q is q and frozen(rows):
-        return points
-    points = circle_points(rows, q)
-    points.setflags(write=False)
-    if frozen(rows):
-        _circle = (rows, q, points)
-    return points
-
-
 def xray_transform(f: HomogeneousFunction, frame: Frame,
                    q: QuadratureSpec = QuadratureSpec()):
-    """Integral of f over the circle of the frame; requires degree -2."""
+    """Integral of f over the circle of the frame; requires degree -2.
+
+    The circle points are read-only and reused from the last call while
+    the frame's rows are the same frozen array and q the same spec.
+    """
+    global _circle
     require_degree(f)
-    return circle_integral(f(_frame_circle(frame, q)), q)
+    rows = frame.rows
+    last_rows, last_q, points = _circle
+    if last_rows is not rows or last_q is not q or not frozen(rows):
+        points = circle_points(rows, q)
+        points.setflags(write=False)
+        if frozen(rows):
+            _circle = (rows, q, points)
+    return circle_integral(f(points), q)
 
 
 def xray_chart_field(f: HomogeneousFunction,

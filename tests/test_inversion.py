@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ def test_design_matrix_matches_the_pow_formula():
                      for f in frames])
     anchor = 2.0 * np.pi / np.sqrt(np.linalg.det(gram))
     assert np.max(np.abs(d[:, 0] - anchor) / anchor) <= 1e-13
+
+
+def test_design_matrix_matches_an_exact_sum_over_the_full_circle():
+    # each entry against math.fsum of f at all 128 nodes of [0, 2pi), on
+    # points built here from np.outer: neither the half circle, the dot
+    # with the weights nor the memos of the transform are used
+    n = 128
+    frames = sample_frames(40, 38)
+    basis = transform_basis(8)
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    x = np.stack([np.outer(np.cos(theta), f.u) + np.outer(np.sin(theta), f.v)
+                  for f in frames])
+    expected = np.array([[math.fsum(row) * (2.0 * np.pi / n) for row in f(x)]
+                         for f in basis]).T
+    d = design_matrix(basis, frames, Q128).matrix
+    assert d.shape == expected.shape == (40, 165)
+    scale = np.max(np.abs(expected), axis=0)
+    assert np.max(np.abs(d - expected) / scale) <= 1e-14
 
 
 def test_zero_function_gives_zero_column():

@@ -1,5 +1,5 @@
 """The memos of the per-call circle path: xray_transform's circle points
-and poly.point_memo, which holds each degree's monomial table and the
+and poly.point_memo, which holds each degree's monomial table, x.x and the
 radial factors of the last frozen point array.
 
 Writable arrays bypass every memo, so a loop over writable copies of the
@@ -131,7 +131,8 @@ def test_an_array_made_writable_again_is_not_reused():
     x.setflags(write=False)
     g(x)
     last, entries = poly._memo
-    assert last is x and set(entries) == {("monomials", 2), ("radial", -4)}
+    assert last is x and set(entries) == {
+        ("monomials", 2), ("radial", 2), ("radial", -4)}
     x.setflags(write=True)
     assert poly.point_memo(x) is None
     x[...] = circle_points(b.rows, Q16)
@@ -170,9 +171,10 @@ def test_each_memo_holds_one_entry_after_a_400_frame_matrix():
     assert not points.flags.writeable and points.shape == (8, 4)
     last, entries = poly._memo
     assert last is points
+    # x.x once, and each power formed from it
     assert {key: value.shape for key, value in entries.items()} == {
         ("monomials", 0): (1, 8), ("monomials", 2): (10, 8),
-        ("radial", -2): (8,), ("radial", -4): (8,)}
+        ("radial", 2): (8,), ("radial", -2): (8,), ("radial", -4): (8,)}
 
 
 def test_poly_table_grows_with_degree_on_one_point_array():

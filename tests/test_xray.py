@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -115,7 +117,8 @@ def test_quadrature_spec_validation():
     q = QuadratureSpec(np.int64(64))
     assert q == QuadratureSpec(64) and type(q.n_nodes) is int
     # the 64-node rule on its 32 nodes in [0, pi), each counted twice
-    assert q.weight == 2.0 * np.pi / 32 and len(q.cos) == len(q.sin) == 32
+    assert np.all(q.weights == 2.0 * np.pi / 32)
+    assert len(q.cos) == len(q.sin) == len(q.weights) == 32
 
 
 def test_circle_points_shape_and_values():
@@ -157,6 +160,30 @@ def test_circle_integral_of_a_list_equals_that_of_an_array():
     for v in (values, values[0]):
         assert np.array_equal(circle_integral(v.tolist(), q),
                               circle_integral(v, q))
+
+
+def test_circle_integral_gives_every_rank_the_bits_of_one_circle():
+    # numpy hands a 2-D dot to BLAS gemv, whose sums differ from ddot's in
+    # the last bits: a batched transform must still equal its per-point loop
+    rng = np.random.default_rng(38)
+    for n in (4, 6, 64, 129):
+        q = QuadratureSpec(n)
+        count = len(q.cos)
+        assert len(q.weights) == count
+        assert np.all(q.weights == 2.0 * np.pi / count)
+        assert_allclose(math.fsum(q.weights), 2 * np.pi, rtol=1e-15)
+        with pytest.raises(ValueError):
+            q.weights[0] = 0.0
+        real = rng.normal(size=(3, 5, count))
+        for values in (real, real + 1j * rng.normal(size=real.shape)):
+            one = np.array([[circle_integral(v, q) for v in stack]
+                            for stack in values])
+            assert np.array_equal(circle_integral(values, q), one)
+            for stack, expected in zip(values, one):
+                assert np.array_equal(circle_integral(stack, q), expected)
+                assert np.array_equal(circle_integral(stack.tolist(), q),
+                                      expected)
+            assert circle_integral(values[0, 0].tolist(), q) == one[0, 0]
 
 
 # ---- moments ------------------------------------------------------------------
@@ -405,7 +432,7 @@ def test_odd_node_counts_keep_every_node():
     theta = np.arange(129) * (2.0 * np.pi / 129)
     assert np.array_equal(q.cos, np.cos(theta))
     assert np.array_equal(q.sin, np.sin(theta))
-    assert q.weight == 2.0 * np.pi / 129
+    assert np.all(q.weights == 2.0 * np.pi / 129)
     five = circle_points(Frame(E[0], E[1]).rows, QuadratureSpec(5))
     assert five.shape == (5, 4)
     f = basis_to_degree_minus_2(harmonic_basis(2)[4])
