@@ -10,7 +10,11 @@ The suites are the only catalogue of checks: the acceptance tests run
 them at pinned seeds and compute no check of their own.
 
 Configuration is a JSON object (see CONFIG_SCHEMA); a --config file is
-merged under the command-line flags.  Each schema key `foo_bar` but
+merged under the command-line flags.  The merged configuration is checked
+against CONFIG_SCHEMA before anything runs, by a direct reading of the
+few JSON Schema keywords the table uses (no jsonschema import); a refusal
+names an unknown key first, else the first refused key in the table's
+order, in jsonschema's words.  Each schema key `foo_bar` but
 `command` is the flag `--foo-bar` of every subcommand, parsed by its schema
 type.  Every circle integral of a suite runs on `nodes` quadrature nodes,
 and a report's environment records every key of defaults.DEFAULTS at the
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -115,32 +118,56 @@ def _merge_config(command, file_config, flag_values):
     return cfg
 
 
-def _is_int(checker, value):
-    return isinstance(value, int) and not isinstance(value, bool)
+# The JSON types CONFIG_SCHEMA names.  "integer" admits only an int: JSON
+# Schema's "integer" also admits an integral float such as 3.0, which the
+# suites cannot use as a seed, degree or count.
+_JSON_TYPES = {
+    "integer": lambda value: (isinstance(value, int)
+                              and not isinstance(value, bool)),
+    "string": lambda value: isinstance(value, str),
+    "null": lambda value: value is None,
+    "object": lambda value: isinstance(value, dict),
+}
 
 
-@functools.cache
-def _config_validator():
-    """A validator for CONFIG_SCHEMA, built on first use.  The schema itself
-    is checked against its metaschema by the tests, not on every call.
-
-    JSON Schema's "integer" admits an integral float such as 3.0, which the
-    suites cannot use as a seed, degree or count; this validator admits
-    only ints, so such a value is refused like any other type error."""
-    import jsonschema
-    base = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    strict = jsonschema.validators.extend(
-        base, type_checker=base.TYPE_CHECKER.redefine("integer", _is_int))
-    return strict(CONFIG_SCHEMA)
+def _refusal(value, schema):
+    """Why schema refuses value, in the words of JSON Schema's validators,
+    or None.  Only the keywords CONFIG_SCHEMA uses are read, in the order
+    the schema lists them, and the first that refuses is named: an unknown
+    key before any bad value, and of several bad values the first
+    property's.  additionalProperties is false, and each property with a
+    bound lists "type" first, so a bound compares ints alone."""
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_JSON_TYPES[name](value) for name in types):
+                names = ", ".join(map(repr, types))
+                return f"{value!r} is not of type {names}"
+        elif keyword == "additionalProperties":
+            extras = sorted((key for key in value
+                             if key not in schema["properties"]), key=str)
+            if extras:
+                return (f"Additional properties are not allowed "
+                        f"({', '.join(map(repr, extras))} "
+                        f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif keyword == "properties":
+            for key, spec in arg.items():
+                reason = key in value and _refusal(value[key], spec)
+                if reason:
+                    return f"{key}: {reason}"
+        elif keyword == "enum" and value not in arg:
+            return f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum" and value < arg:
+            return f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "multipleOf" and value % arg:
+            return f"{value!r} is not a multiple of {arg}"
+    return None
 
 
 def _validate_config(cfg):
-    from jsonschema.exceptions import best_match
-    error = best_match(_config_validator().iter_errors(cfg))
-    if error is not None:
-        where = "".join(f"{key}: " for key in error.absolute_path)
-        raise ConfigError(f"invalid configuration: {where}{error.message}") \
-            from error
+    reason = _refusal(cfg, CONFIG_SCHEMA)
+    if reason is not None:
+        raise ConfigError(f"invalid configuration: {reason}")
 
 
 def _record(name, value):

@@ -1,7 +1,12 @@
 import argparse
 import inspect
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +78,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
 
 
 def test_config_schema_is_a_valid_schema():
-    import jsonschema
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
@@ -473,3 +478,130 @@ def test_integral_float_of_an_integer_key_exits_2(tmp_path, capsys, key):
 
 def test_integer_keys_are_the_schema_integers():
     assert INTEGER_KEYS == ["nodes", "seed", "max_degree", "n_frames"]
+
+
+def jsonschema_refusal():
+    """The check _validate_config made with jsonschema before its direct
+    reading of CONFIG_SCHEMA: the schema's validator with "integer"
+    admitting only an int, its best_match error worded the same way."""
+    jsonschema = pytest.importorskip("jsonschema")
+    base = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    strict = jsonschema.validators.extend(
+        base, type_checker=base.TYPE_CHECKER.redefine(
+            "integer", lambda checker, value: (
+                isinstance(value, int) and not isinstance(value, bool))))
+    validator = strict(CONFIG_SCHEMA)
+
+    def refusal(cfg):
+        error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+        if error is None:
+            return None
+        where = "".join(f"{key}: " for key in error.absolute_path)
+        return f"invalid configuration: {where}{error.message}"
+    return refusal
+
+
+def direct_refusal(cfg):
+    try:
+        cli._validate_config(cfg)
+    except ConfigError as e:
+        return str(e)
+    return None
+
+
+GRID_VALUES = [None, True, False, 0, -1, 3, 3.0, math.nan, math.inf, 10**20,
+               "json", "x", [], {}]
+
+
+def single_fault_configs():
+    """Merged configs in which at most one key breaks the schema: each
+    boundary value, each key at each value of GRID_VALUES, and one and two
+    unknown keys."""
+    base = cli._merge_config("verify-john", {}, {})
+    configs = [{**base, key: value}
+               for key, value, _ in schema_boundary_values()]
+    configs += [{**base, key: value} for key in CONFIG_SCHEMA["properties"]
+                for value in GRID_VALUES]
+    return configs + [{**base, "nodez": 64}, {**base, "nodez": 64, "Seed": 1}]
+
+
+def test_direct_check_words_every_single_fault_as_jsonschema():
+    reference = jsonschema_refusal()
+    configs = single_fault_configs()
+    refused = [cfg for cfg in configs if reference(cfg) is not None]
+    assert 0 < len(refused) < len(configs)
+    for cfg in configs:
+        assert direct_refusal(cfg) == reference(cfg), cfg
+
+
+def test_direct_check_names_the_first_refused_key_of_two():
+    # jsonschema's best_match would name the key that sorts last (output
+    # over nodes); the direct check names the first refused key in
+    # CONFIG_SCHEMA's order, with the words jsonschema gives that key alone
+    reference = jsonschema_refusal()
+    base = cli._merge_config("verify-john", {}, {})
+    singles = [(key, value, reference({**base, key: value}))
+               for key in CONFIG_SCHEMA["properties"] for value in GRID_VALUES]
+    for (key_a, value_a, alone_a), (key_b, value_b, alone_b) in \
+            itertools.combinations(singles, 2):
+        if key_a != key_b:
+            cfg = {**base, key_a: value_a, key_b: value_b}
+            first = alone_a if alone_a is not None else alone_b
+            assert (reference(cfg) is None) == (first is None), cfg
+            assert direct_refusal(cfg) == first, cfg
+
+
+def test_several_bad_keys_name_the_first_in_schema_order(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for config, named in (
+            ({"output": 3, "nodes": 2},
+             "nodes: 2 is less than the minimum of 4"),
+            ({"format": "x", "seed": -1, "max_degree": 3},
+             "seed: -1 is less than the minimum of 0"),
+            ({"nodes": 2, "nodez": 64},
+             "Additional properties are not allowed ('nodez' was "
+             "unexpected)")):
+        path.write_text(json.dumps(config))
+        assert main(["verify-selfdual", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: invalid configuration: {named}\n"
+
+
+# The keywords cli._refusal enforces.  A keyword joins this set only with
+# its branch there, so that no bound of CONFIG_SCHEMA goes unchecked.
+ENFORCED_KEYWORDS = {"type", "additionalProperties", "properties", "enum",
+                     "minimum", "multipleOf"}
+
+
+def test_every_schema_keyword_is_enforced():
+    specs = [CONFIG_SCHEMA, *CONFIG_SCHEMA["properties"].values()]
+    keywords = {keyword for spec in specs for keyword in spec}
+    assert keywords <= ENFORCED_KEYWORDS | {"description"}
+    assert CONFIG_SCHEMA["additionalProperties"] is False
+    for spec in specs:
+        types = spec.get("type", [])
+        for name in [types] if isinstance(types, str) else types:
+            assert name in cli._JSON_TYPES, name
+        if {"minimum", "multipleOf"} & set(spec):
+            # the check compares a bound only with a value that passed
+            assert list(spec)[0] == "type" and spec["type"] == "integer"
+
+
+def test_validation_and_a_suite_import_no_jsonschema():
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import sys
+import splitxray
+import splitxray.cli as cli
+cli._validate_config(cli._merge_config("verify-john", {}, {}))
+assert cli.main(["verify-selfdual"]) == 0
+print("jsonschema" in sys.modules)
+"""
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
